@@ -25,9 +25,9 @@ bench:
 bench-smoke: bench-allocgate
 	$(GO) test -bench=. -benchtime=1x -count=1 ./... > /dev/null
 
-# Steady-state hot paths must be allocation-free: step-proc spawn→exit
-# churn (Proc record, events and carrier goroutine all recycle through
-# free lists) and the sharded kernel's window loop (floor scan, horizon
+# Steady-state hot paths must be allocation-free: spawn→exit churn (Proc
+# record, events and coroutine worker all recycle through the kernel's
+# pools) and the sharded kernel's window loop (floor scan, horizon
 # dispatch, cross-shard post merge). The gate fails on a nonzero
 # allocs/op column (warm-up allocations amortize to zero over 1000
 # iterations; the exact-zero steady-state churn property is also pinned
@@ -49,8 +49,8 @@ vet:
 # go vet plus stampvet, the repo's own STAMP-aware analyzer engine
 # (cmd/stamplint): determinism, map-iteration order, uncharged
 # backdoors, S-round misuse, checkpoint-unsafe region element types,
-# pooled-batch escapes, shard-safety, step-continuation safety and
-# charge-flow accounting. -nocache forces a full from-source run.
+# shard-safety and charge-flow accounting. -nocache forces a full
+# from-source run.
 lint: vet
 	$(GO) run ./cmd/stamplint -nocache ./...
 
@@ -61,13 +61,13 @@ lint-fast:
 	$(GO) run ./cmd/stamplint ./...
 
 race: race-shard
-	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/experiments/... ./internal/obs/... ./internal/trace/... ./internal/msgpass/... ./internal/fault/... ./internal/racedet/... ./internal/ckpt/... ./internal/serve/...
+	$(GO) test -race ./...
 
-# Shard-focused race pass: window dispatch, cross-shard channel
-# handoffs and carrier handback under the Go race detector. The
-# *Shard* suites iterate the 1/2/4 shards × 1/2/4 workers matrix
-# internally, so this exercises every concurrent layout explicitly
-# (the full `race` run above also reaches them via the package list).
+# Shard-focused race pass: window dispatch, worker goroutines resuming
+# each shard's coroutines, and cross-shard post merging under the Go
+# race detector. The *Shard* suites iterate the 1/2/4 shards × 1/2/4
+# workers matrix internally, so this exercises every concurrent layout
+# explicitly (the full `race` run above reaches them too).
 race-shard:
 	$(GO) test -race -count=1 -run 'Shard' ./internal/sim/ ./internal/core/ ./internal/experiments/ ./internal/racedet/ ./internal/ckpt/
 
@@ -87,7 +87,7 @@ ckpt-fuzz:
 
 # Execution-equivalence flake hunt: FLAKE_HUNT_N fresh randomized seeds
 # (wall-clock master seed, every run new territory) through the kill,
-# step-vs-goroutine, fast-path and shard equivalence fuzzes. Every seed
+# fast-path and shard equivalence fuzzes. Every seed
 # is logged; reproduce a failure exactly with
 # `make flake-hunt FLAKE_HUNT_SEED=<master seed from the log>`.
 FLAKE_HUNT_N ?= 500
@@ -95,8 +95,7 @@ flake-hunt:
 	FLAKE_HUNT_N=$(FLAKE_HUNT_N) FLAKE_HUNT_SEED=$(FLAKE_HUNT_SEED) $(GO) test -run 'TestFlakeHunt' -count=1 -v ./internal/sim/
 
 # The PR gate: everything must build, lint (go vet + cached stamplint)
-# and be gofmt-clean, the simulator, core, experiment harness, observability,
-# race-detector and checkpoint packages must pass under the Go race
+# and be gofmt-clean, every package must pass under the Go race
 # detector, the checkpoint kill/restore fuzz must hold bit-for-bit, and
 # every benchmark must at least run.
 check: build vet lint-fast fmt race ckpt-fuzz bench-smoke

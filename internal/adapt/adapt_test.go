@@ -90,58 +90,80 @@ func runStatic(t *testing.T, placement core.Placement) jacobi.Result {
 // charges zeroed, a run that live-migrates a member at a barrier
 // generation is bit-identical — solution vector, per-proc counters and
 // timestamps, and all four §2.1 metrics — to a static run placed on
-// the final placement from the start. Pinned in both execution modes
-// and across the shard/worker matrix.
+// the final placement from the start. Pinned across the shard/worker
+// matrix, in both halves of the former execution-mode matrix. Every
+// member now runs its one goroutine-style body as a coroutine; the
+// goroutines=false half, once the step-machine bodies that yielded at
+// every charge, now turns the hold fast path off on every kernel, so
+// each charged hold parks its coroutine and the migration happens
+// between dispatched resumes rather than coalesced holds.
 func TestMigrationEquivalence(t *testing.T) {
 	layouts := []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}}
 	for _, goroutines := range []bool{false, true} {
 		for _, l := range layouts {
 			name := fmt.Sprintf("goroutines=%v/shards=%d/workers=%d", goroutines, l.shards, l.workers)
 			t.Run(name, func(t *testing.T) {
-				core.GoroutineBodies = goroutines
 				core.DefaultShards, core.DefaultShardWorkers = l.shards, l.workers
-				defer func() {
-					core.GoroutineBodies = false
-					core.DefaultShards, core.DefaultShardWorkers = 0, 0
-				}()
-
-				adRes, ad, pl := runAdaptive(t, true)
-				if ad.Migrations() == 0 {
-					t.Fatal("adaptive run performed no migrations")
+				defer func() { core.DefaultShards, core.DefaultShardWorkers = 0, 0 }()
+				if !goroutines {
+					defer core.AddGlobalOption(disableFastPath)()
 				}
-				if ad.MigrationCost() != 0 {
-					t.Fatalf("cost-free run charged %g ticks", ad.MigrationCost())
-				}
-				if got := pl.Recovery(equivProcs, false); got != fault.RecoverMigrate {
-					t.Fatalf("recovery mode = %v, want migrate", got)
-				}
-				final := append(core.Placement(nil), adRes.Group.Placement()...)
-				if reflect.DeepEqual(final, equivPlacement()) {
-					t.Fatal("placement unchanged; migration did not move anyone")
-				}
-				cfg := machine.Niagara()
-				for i, th := range final {
-					if c := cfg.CoreOf(th); c == 2 {
-						t.Fatalf("member %d still on failed core 2 (thread %d)", i, th)
-					}
-				}
-
-				stRes := runStatic(t, final)
-				if !reflect.DeepEqual(adRes.X, stRes.X) {
-					t.Fatalf("solution diverged\nadaptive: %v\nstatic:   %v", adRes.X, stRes.X)
-				}
-				ra, rs := adRes.Report(), stRes.Report()
-				if !reflect.DeepEqual(ra, rs) {
-					t.Fatalf("group report diverged\nadaptive: %+v\nstatic:   %+v", ra, rs)
-				}
-				// The four §2.1 metrics, explicitly (already implied by
-				// the report equality).
-				ea, es := ra.Energy(), rs.Energy()
-				if ea.D != es.D || ea.PDP() != es.PDP() || ea.EDP() != es.EDP() || ea.ED2P() != es.ED2P() {
-					t.Fatalf("metrics diverged\nadaptive: %v\nstatic:   %v", ea, es)
-				}
+				migrationEquivalence(t)
 			})
 		}
+	}
+}
+
+// disableFastPath turns off hold coalescing on sys's kernel, or on
+// every shard kernel of a sharded system.
+func disableFastPath(sys *core.System) {
+	if sys.SG == nil {
+		sys.K.DisableFastPath = true
+		return
+	}
+	for i := 0; i < sys.SG.NumShards(); i++ {
+		sys.SG.Shard(i).DisableFastPath = true
+	}
+}
+
+// migrationEquivalence runs the adaptive scenario and its static
+// oracle under the current system defaults and compares them.
+func migrationEquivalence(t *testing.T) {
+	t.Helper()
+	adRes, ad, pl := runAdaptive(t, true)
+	if ad.Migrations() == 0 {
+		t.Fatal("adaptive run performed no migrations")
+	}
+	if ad.MigrationCost() != 0 {
+		t.Fatalf("cost-free run charged %g ticks", ad.MigrationCost())
+	}
+	if got := pl.Recovery(equivProcs, false); got != fault.RecoverMigrate {
+		t.Fatalf("recovery mode = %v, want migrate", got)
+	}
+	final := append(core.Placement(nil), adRes.Group.Placement()...)
+	if reflect.DeepEqual(final, equivPlacement()) {
+		t.Fatal("placement unchanged; migration did not move anyone")
+	}
+	cfg := machine.Niagara()
+	for i, th := range final {
+		if c := cfg.CoreOf(th); c == 2 {
+			t.Fatalf("member %d still on failed core 2 (thread %d)", i, th)
+		}
+	}
+
+	stRes := runStatic(t, final)
+	if !reflect.DeepEqual(adRes.X, stRes.X) {
+		t.Fatalf("solution diverged\nadaptive: %v\nstatic:   %v", adRes.X, stRes.X)
+	}
+	ra, rs := adRes.Report(), stRes.Report()
+	if !reflect.DeepEqual(ra, rs) {
+		t.Fatalf("group report diverged\nadaptive: %+v\nstatic:   %+v", ra, rs)
+	}
+	// The four §2.1 metrics, explicitly (already implied by
+	// the report equality).
+	ea, es := ra.Energy(), rs.Energy()
+	if ea.D != es.D || ea.PDP() != es.PDP() || ea.EDP() != es.EDP() || ea.ED2P() != es.ED2P() {
+		t.Fatalf("metrics diverged\nadaptive: %v\nstatic:   %v", ea, es)
 	}
 }
 

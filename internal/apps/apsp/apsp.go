@@ -136,6 +136,7 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 			slow = cfg.SlowFactor[i]
 		}
 		row := make([]int64, v)
+		m := make([]int64, 0, v*v) // this round's copy of x
 
 		// oneRound reads the matrix, recomputes row i and writes back
 		// changed entries; it reports whether anything changed.
@@ -144,7 +145,7 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 			ctx.SRound(func() {
 				// read x (the whole matrix, one serialized access per
 				// word, as the paper's "read x" step).
-				m := x.ReadRange(ctx, 0, v*v)
+				m = x.ReadRangeInto(ctx, 0, v*v, m)
 				copy(row, m[i*v:(i+1)*v])
 				// forall j: x_ij = min_k { x_ik + x_kj }
 				for j := 0; j < v; j++ {
@@ -221,100 +222,7 @@ func Run(sys *core.System, cfg Config) (Result, error) {
 		}
 	}
 
-	// Step-machine driver: the same program with explicit continuations
-	// at its two blocking points, the epoch barriers. The whole epoch
-	// body — every S-round, including its memory traffic and holds —
-	// runs inline within one activation (async_comm rounds never park at
-	// a boundary; any mid-round park rides the activation's carrier), so
-	// the event sequence is identical to the goroutine body's.
-	stepBody := func(ctx *core.Ctx) core.Step {
-		i := ctx.Index()
-		slow := 1.0
-		if cfg.SlowFactor != nil {
-			slow = cfg.SlowFactor[i]
-		}
-		row := make([]int64, v)
-		oneRound := func() bool {
-			changed := false
-			ctx.SRound(func() {
-				m := x.ReadRange(ctx, 0, v*v)
-				copy(row, m[i*v:(i+1)*v])
-				for j := 0; j < v; j++ {
-					best := row[j]
-					for k := 0; k < v; k++ {
-						if d := m[i*v+k] + m[k*v+j]; d < best {
-							best = d
-						}
-					}
-					if best < row[j] {
-						row[j] = best
-						changed = true
-					}
-				}
-				ctx.IntOps(int64(2 * v * v)) // adds + compares
-				if slow > 1 {
-					ctx.HoldCost(float64(2*v*v) * (slow - 1))
-				}
-				for j := 0; j < v; j++ {
-					if row[j] != m[i*v+j] {
-						x.Write(ctx, i*v+j, row[j])
-					}
-				}
-			})
-			rounds[i]++
-			return changed
-		}
-
-		var epochTop, afterBar1, afterBar2 core.Step
-		prev := int64(0)
-		epoch := 0
-		cnt := int64(0)
-		epochTop = func(c *core.Ctx) core.Step {
-			myChanged := false
-			switch cfg.Mode {
-			case BulkSync:
-				myChanged = oneRound()
-			case Async:
-				deadline := c.Now() + epochLen
-				for {
-					if oneRound() {
-						myChanged = true
-					}
-					if c.Now() >= deadline {
-						break
-					}
-				}
-			}
-			if myChanged {
-				cur := changes.Read(c, 0)
-				changes.Write(c, 0, cur+1)
-			}
-			return c.StepBarrier(afterBar1)
-		}
-		afterBar1 = func(c *core.Ctx) core.Step {
-			cnt = changes.Read(c, 0)
-			return c.StepBarrier(afterBar2) // next epoch's bumps must not race the read
-		}
-		afterBar2 = func(c *core.Ctx) core.Step {
-			if i == 0 {
-				epochs = epoch + 1
-			}
-			if cnt == prev || epoch+1 >= maxEpochs {
-				return nil
-			}
-			prev = cnt
-			epoch++
-			return epochTop
-		}
-		return epochTop
-	}
-
-	var grp *core.Group
-	if core.GoroutineBodies {
-		grp = sys.NewGroup("apsp", attrs, v, body)
-	} else {
-		grp = sys.NewStepGroup("apsp", attrs, v, stepBody)
-	}
+	grp := sys.NewGroup("apsp", attrs, v, body)
 	if err := sys.Run(); err != nil {
 		return Result{}, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -200,5 +201,22 @@ func TestHeterogeneousMachineAPSP(t *testing.T) {
 	if res.RoundsPerProc[1] <= res.RoundsPerProc[0] {
 		t.Fatalf("fast-core process rounds %d not above slow-core %d",
 			res.RoundsPerProc[1], res.RoundsPerProc[0])
+	}
+}
+
+// TestKernelStatsPinned pins the kernel's host-side work counters for
+// one fixed benchmark-sized input (V=16, async, Niagara). They count
+// work, not time, so they are identical on every host: a change that
+// adds coroutine switches (parks, resumes) or defeats hold coalescing
+// fails here even on a 1-CPU runner. Events is the dispatch count the
+// virtual results were pinned with and must never move.
+func TestKernelStatsPinned(t *testing.T) {
+	sys := core.NewSystem(machine.Niagara())
+	if _, err := Run(sys, Config{Graph: workload.NewRandomGraph(16, 0.25, 40, 1), Mode: Async}); err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Stats{Events: 50201, Holds: 50095, Coalesced: 2, Parks: 50183, Resumes: 50199}
+	if got := sys.K.Stats(); got != want {
+		t.Fatalf("kernel stats = %+v, want %+v", got, want)
 	}
 }

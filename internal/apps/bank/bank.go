@@ -140,29 +140,7 @@ func Run(sys *core.System, wl workload.Bank, workers int, attrs *core.Attrs) (Ru
 		}
 	}
 
-	// Step driver: one Step per transfer. The transaction inside
-	// Transfer parks the step's carrier mid-activation; the boundary
-	// return between transfers costs nothing, so the schedule is
-	// identical to the goroutine loop.
-	stepBody := func(ctx *core.Ctx) core.Step {
-		i := ctx.Index()
-		var stepFn core.Step
-		stepFn = func(c *core.Ctx) core.Step {
-			if i >= len(wl.Transfers) {
-				return nil
-			}
-			record(b.Transfer(c, wl.Transfers[i]))
-			i += c.GroupSize()
-			return stepFn
-		}
-		return stepFn
-	}
-
-	if core.GoroutineBodies {
-		res.Group = sys.NewGroup("bank", a, workers, body)
-	} else {
-		res.Group = sys.NewStepGroup("bank", a, workers, stepBody)
-	}
+	res.Group = sys.NewGroup("bank", a, workers, body)
 	if err := sys.Run(); err != nil {
 		return RunResult{}, err
 	}

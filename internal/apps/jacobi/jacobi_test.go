@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -278,5 +279,20 @@ func TestSharedTooSmallRejected(t *testing.T) {
 	ls := workload.LinearSystem{N: 1, A: [][]float64{{1}}, B: []float64{1}, XStar: []float64{1}}
 	if _, err := RunShared(sys, SharedConfig{System: ls, Iters: 1}); err == nil {
 		t.Fatal("n=1 accepted")
+	}
+}
+
+// TestKernelStatsPinned pins the kernel's host-side work counters for
+// one fixed benchmark-sized input (n=32, 16 iterations, Niagara); see
+// the APSP twin. Events include the message deliveries, which run as
+// kernel callbacks without resuming any coroutine.
+func TestKernelStatsPinned(t *testing.T) {
+	sys := core.NewSystem(machine.Niagara())
+	if _, err := Run(sys, Config{System: workload.NewLinearSystem(32, 1), Iters: 16}); err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Stats{Events: 52281, Holds: 34784, Coalesced: 8, Parks: 35377, Resumes: 35409}
+	if got := sys.K.Stats(); got != want {
+		t.Fatalf("kernel stats = %+v, want %+v", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/msgpass"
 )
 
 // SortAttrs: odd–even transposition sort exchanges with alternating
@@ -61,81 +60,11 @@ func OddEvenSort(sys *core.System, vals []int64) (SortResult, error) {
 		out[i] = v
 	}
 
-	stepBody := func(ctx *core.Ctx) core.Step {
-		m := &sortMember{ctx: ctx, out: out, i: ctx.Index(), n: n, v: vals[ctx.Index()]}
-		m.roundFn = m.round
-		m.afterRecvFn = m.afterRecv
-		m.afterRoundFn = m.afterRound
-		return m.roundFn
-	}
-
-	var g *core.Group
-	if core.GoroutineBodies {
-		g = sys.NewGroup("oesort", SortAttrs, n, body)
-	} else {
-		g = sys.NewStepGroup("oesort", SortAttrs, n, stepBody)
-	}
+	g := sys.NewGroup("oesort", SortAttrs, n, body)
 	if err := sys.Run(); err != nil {
 		return SortResult{}, err
 	}
 	return SortResult{Sorted: out, Rounds: n, Group: g}, nil
-}
-
-// sortMember is one process's step-machine driver for the compare
-// exchange: send the held value to the round's partner, park for the
-// partner's value, keep min or max by side.
-type sortMember struct {
-	ctx     *core.Ctx
-	out     []int64
-	i       int
-	n       int
-	r       int
-	partner int
-	v       int64
-
-	roundFn      core.Step
-	afterRecvFn  func(ms []msgpass.Message) core.Step
-	afterRoundFn core.Step
-}
-
-func (m *sortMember) round(c *core.Ctx) core.Step {
-	if m.r >= m.n {
-		m.out[m.i] = m.v
-		return nil
-	}
-	c.StepRoundBegin()
-	if m.r%2 == m.i%2 {
-		m.partner = m.i + 1
-	} else {
-		m.partner = m.i - 1
-	}
-	if m.partner < 0 || m.partner >= m.n {
-		return c.StepRoundEnd(m.afterRoundFn)
-	}
-	c.SendTo(m.partner, m.v)
-	return c.StepRecvN(1, m.afterRecvFn)
-}
-
-func (m *sortMember) afterRecv(ms []msgpass.Message) core.Step {
-	c := m.ctx
-	c.TraceRecvFrom(ms[0])
-	other := ms[0].Payload.(int64)
-	c.IntOps(1) // the comparison
-	if m.partner > m.i {
-		if other < m.v {
-			m.v = other
-		}
-	} else {
-		if other > m.v {
-			m.v = other
-		}
-	}
-	return c.StepRoundEnd(m.afterRoundFn)
-}
-
-func (m *sortMember) afterRound(c *core.Ctx) core.Step {
-	m.r++
-	return m.roundFn
 }
 
 // SequentialSort is the baseline.

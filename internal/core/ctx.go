@@ -67,29 +67,6 @@ type Ctx struct {
 	prof *obs.ProcProfile
 	// Open causal spans, innermost last: proc ⊃ unit ⊃ round.
 	procSpan, unitSpan, roundSpan obs.SpanID
-
-	// --- step-mode driver state (see step.go) ---------------------------
-	// These fields replace the stack locals a goroutine body keeps across
-	// blocking points: a step body returns to the kernel at every
-	// boundary, so everything that must survive a park lives here.
-	stepBody    func(*Ctx) Step // member body, consumed at first activation
-	stepInner   Step            // continuation to run on the next activation
-	stepDriveFn sim.StepFunc    // pre-bound (*Ctx).stepDrive, allocated once
-	// unitRoundsBefore replaces SUnit's roundsBefore local.
-	unitRoundsBefore int
-	// barBefore/stepAfterBar carry one in-progress StepBarrier; roundThen
-	// carries the continuation through StepRoundEnd's implicit barrier.
-	barBefore    sim.Time
-	stepAfterBar Step
-	roundThen    Step
-	// recvBuf is the pooled message buffer StepRecvN hands to its
-	// continuation; it is reused by the next StepRecvN, so callbacks must
-	// not retain it (the stamplint poolsafe check enforces this).
-	recvBuf  []msgpass.Message
-	recvSt   msgpass.StepRecvState
-	recvSpan obs.SpanID
-	recvNeed int
-	recvThen func([]msgpass.Message) Step
 }
 
 // RoundRec is the measured cost of one S-round of one process:
@@ -410,8 +387,7 @@ func (c *Ctx) barrierWait() {
 }
 
 // barrierTripped publishes the completed barrier generation on a
-// streaming tracer. Shared by the goroutine path (barrierWait) and the
-// step path (StepBarrier); only the tripping arrival calls it.
+// streaming tracer; only the tripping arrival calls it.
 func (c *Ctx) barrierTripped() {
 	tr := c.tracerSpans()
 	if !tr.Streaming() {
@@ -434,7 +410,7 @@ func (c *Ctx) barrierTripped() {
 }
 
 // barrierFinish attributes and records the barrier wait window that
-// started at before. Shared by both execution modes.
+// started at before.
 func (c *Ctx) barrierFinish(before sim.Time) {
 	wait := c.Now() - before
 	if wait <= 0 {
@@ -522,25 +498,21 @@ func (c *Ctx) Recv() msgpass.Message {
 
 // RecvN receives exactly n messages.
 func (c *Ctx) RecvN(n int) []msgpass.Message {
+	return c.RecvNInto(n, make([]msgpass.Message, 0, n))
+}
+
+// RecvNInto is RecvN into caller-owned storage (see
+// msgpass.Endpoint.RecvNInto): passing the previous batch back in
+// makes a round's receive allocation-free.
+func (c *Ctx) RecvNInto(n int, buf []msgpass.Message) []msgpass.Message {
 	var sp obs.SpanID
 	tr := c.tracerSpans()
 	if tr.Enabled() {
 		sp = tr.Begin(c.Now(), c.p.Name(), "msg", "recv", c.spanParent())
 	}
-	ms := c.ep.RecvN(c, n)
+	ms := c.ep.RecvNInto(c, n, buf)
 	tr.End(sp, c.Now())
 	return ms
-}
-
-// TraceRecvFrom records the per-message receive event that Recv emits
-// after the message arrives. Step drivers that replace a single Recv
-// with StepRecvN(1, ...) call it first in the callback so traced runs
-// stay identical between the two execution modes (RecvN and StepRecvN
-// deliberately omit per-message events for batched receives).
-func (c *Ctx) TraceRecvFrom(m msgpass.Message) {
-	if m.From != nil && c.sys.Tracer.Enabled() {
-		c.traceEvent(trace.Recv, "from "+m.From.Name())
-	}
 }
 
 // BroadcastAll sends payload to every other group member (asynchronous

@@ -122,16 +122,16 @@ func (sys *System) NewGroupOpts(name string, attrs Attrs, n int, body func(ctx *
 			body(ctx)
 		})
 		ctx.p.Ctx = ctx
+		// Contexts, fault plans and reports use member handles after
+		// the members finish, so their records must never be recycled.
+		ctx.p.Pin()
 	}
 	sys.groups = append(sys.groups, g)
 	return g
 }
 
 // newGroupShell validates options, builds the group and its member
-// contexts, and returns the spawn order (nil = rank order). The spawn
-// loop itself differs by execution mode — goroutine bodies in
-// NewGroupOpts, step drivers in NewStepGroupOpts — and runs in the
-// caller.
+// contexts, and returns the spawn order (nil = rank order).
 func (sys *System) newGroupShell(name string, attrs Attrs, n int, opts []GroupOption) (*Group, []int) {
 	if n < 1 {
 		panic("core: group needs at least one process")

@@ -19,9 +19,9 @@ import (
 
 // DisableSharding forces every System onto a single sequential kernel
 // even when sharding is requested — the escape hatch mirroring
-// sim.Kernel.DisableFastPath and GoroutineBodies: equivalence tests
-// run the same workload both ways and compare bit-for-bit, and it
-// isolates the sharded scheduler while debugging.
+// sim.Kernel.DisableFastPath: equivalence tests run the same workload
+// both ways and compare bit-for-bit, and it isolates the sharded
+// scheduler while debugging.
 var DisableSharding bool
 
 // DefaultShards and DefaultShardWorkers, when DefaultShards > 1, make

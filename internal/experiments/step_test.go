@@ -7,21 +7,21 @@ import (
 	"repro/internal/core"
 )
 
-// The experiment goldens were pinned with goroutine-mode process
-// bodies; every dual-mode app (jacobi, apsp, bank, airline, and the
-// kernels cookbook) now defaults to step-machine drivers
-// (core.GoroutineBodies=false), so TestGoldenOutputs already proves
-// step mode bit-identical. The tests here close the equivalence from
-// the other side and across host parallelism.
+// Every app once had two process bodies — a goroutine-style body and a
+// step-machine driver — and the tests here proved both modes rendered
+// the goldens. Only the goroutine-style body remains, run as a pooled
+// coroutine; the tests keep their names and now close the equivalence
+// along the axes that remain: the kernel's hold fast path, and host
+// parallelism.
 
-// TestGoldenOutputsGoroutineMode runs the whole suite with goroutine
-// bodies forced and compares against the same goldens: both execution
-// modes of every app must render byte-identical results.
+// TestGoldenOutputsGoroutineMode runs the whole suite with the hold
+// fast path off on every system's kernel, so each charged hold parks
+// its coroutine and is resumed by dispatch, and compares against the
+// same goldens: coalescing may only skip work, never change a result.
 func TestGoldenOutputsGoroutineMode(t *testing.T) {
-	core.GoroutineBodies = true
-	defer func() { core.GoroutineBodies = false }()
+	remove := core.AddGlobalOption(func(sys *core.System) { sys.K.DisableFastPath = true })
+	defer remove()
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
 			want, err := os.ReadFile(goldenPath(id))
 			if err != nil {
@@ -32,18 +32,18 @@ func TestGoldenOutputsGoroutineMode(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := res.String(); got != string(want) {
-				t.Fatalf("goroutine-mode %s diverged from golden\n--- got ---\n%s\n--- want ---\n%s",
+				t.Fatalf("slow-path %s diverged from golden\n--- got ---\n%s\n--- want ---\n%s",
 					id, got, want)
 			}
 		})
 	}
 }
 
-// TestGoldenOutputsStepWorkers pins step-mode determinism against host
+// TestGoldenOutputsStepWorkers pins determinism against host
 // parallelism: the full suite through the parallel harness at 1, 2 and
-// 4 workers must reproduce every golden byte-for-byte. Step procs run
-// their activations on pooled carrier goroutines, so this exercises
-// carrier reuse under real host-scheduler interleavings.
+// 4 workers must reproduce every golden byte-for-byte, with each
+// worker's kernels resuming pooled coroutines under real host-scheduler
+// interleavings.
 func TestGoldenOutputsStepWorkers(t *testing.T) {
 	ids := IDs()
 	for _, workers := range []int{1, 2, 4} {

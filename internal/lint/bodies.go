@@ -8,17 +8,13 @@ import (
 
 // groupCtors are the core.System spawn entry points whose body argument
 // (index 3) becomes simulated process code.
-var groupCtors = map[string]bool{
-	"NewGroup": true, "NewGroupOpts": true,
-	"NewStepGroup": true, "NewStepGroupOpts": true,
-}
+var groupCtors = map[string]bool{"NewGroup": true, "NewGroupOpts": true}
 
 // groupBody is one group-body callback found at a spawn call site.
 type groupBody struct {
 	call    *ast.CallExpr
 	lit     *ast.FuncLit // inline or ident-bound literal; nil when the body is a named function
 	decl    *ast.FuncDecl
-	step    bool // spawned via NewStepGroup*
 	sharded bool // spawn call passes core.ShardByPlacement()
 }
 
@@ -109,7 +105,7 @@ func groupBodiesIn(p *Pkg, f *ast.File) []groupBody {
 		if fn == nil || !groupCtors[fn.Name()] || fn.Signature().Recv() == nil || len(call.Args) < 4 {
 			return true
 		}
-		b := groupBody{call: call, step: fn.Name() == "NewStepGroup" || fn.Name() == "NewStepGroupOpts"}
+		b := groupBody{call: call}
 		switch arg := ast.Unparen(call.Args[3]).(type) {
 		case *ast.FuncLit:
 			b.lit = arg

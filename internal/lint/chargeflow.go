@@ -15,20 +15,20 @@ import (
 // anywhere in the segment does real work the model never sees.
 //
 // A charged context is a function that runs inside virtual time: a
-// group-body literal, any function taking a *core.Ctx, or a step
-// segment (returns core.Step). The check walks each such segment: if
-// it contains a loop performing data work (arithmetic, indexed
-// access, or a call into a region-touching module function) and the
-// segment issues no charge on any path — no charged Ctx op, no
-// charged substrate access, and no call to a module function whose
-// summary says it charges — the outermost working loop is flagged.
+// group-body literal or any function taking a *core.Ctx. The check
+// walks each such segment: if it contains a loop performing data work
+// (arithmetic, indexed access, or a call into a region-touching module
+// function) and the segment issues no charge on any path — no charged
+// Ctx op, no charged substrate access, and no call to a module
+// function whose summary says it charges — the outermost working loop
+// is flagged.
 // A charge issued after the loop in the same segment accounts for it
 // (the common "loop, then FpOps(n)" idiom), so the segment, not the
 // loop, is the unit of account.
 func Chargeflow() *Analyzer {
 	return &Analyzer{
 		Name: "chargeflow",
-		Doc:  "flag uncharged data loops in charged contexts (group bodies, Ctx helpers, step segments)",
+		Doc:  "flag uncharged data loops in charged contexts (group bodies, Ctx helpers)",
 		Run: func(p *Pkg) []Finding {
 			// The mechanism is outside the cost model by definition; the
 			// observer packages watch a run without charging it by design.
@@ -41,8 +41,8 @@ func Chargeflow() *Analyzer {
 				for _, b := range groupBodiesIn(p, f) {
 					bodies[b.bodyNode()] = true
 				}
-				// Named declarations: charged when Ctx-taking or
-				// Step-returning, or when they are a spawn body.
+				// Named declarations: charged when Ctx-taking, or when
+				// they are a spawn body.
 				for _, d := range f.Decls {
 					fd, ok := d.(*ast.FuncDecl)
 					if !ok || fd.Body == nil {
@@ -56,7 +56,7 @@ func Chargeflow() *Analyzer {
 						out = append(out, unchargedLoops(p, fd.Body)...)
 					}
 				}
-				// Literals: group bodies and step/Ctx-shaped closures.
+				// Literals: group bodies and Ctx-taking closures.
 				ast.Inspect(f, func(n ast.Node) bool {
 					lit, ok := n.(*ast.FuncLit)
 					if !ok {
@@ -76,7 +76,7 @@ func Chargeflow() *Analyzer {
 }
 
 // isChargedContext reports whether sig marks a function as running
-// inside virtual time: it takes a *core.Ctx or returns a core.Step.
+// inside virtual time: it takes a *core.Ctx.
 func isChargedContext(sig *types.Signature) bool {
 	params := sig.Params()
 	for i := 0; i < params.Len(); i++ {
@@ -84,7 +84,7 @@ func isChargedContext(sig *types.Signature) bool {
 			return true
 		}
 	}
-	return sig.Results().Len() == 1 && isStepType(sig.Results().At(0).Type())
+	return false
 }
 
 // unchargedLoops walks one segment body. If no charge is issued

@@ -23,19 +23,12 @@
 //     structural grammar);
 //   - ckptsafe: no region element types the checkpoint layer cannot
 //     serialize (raw pointers, funcs, channels, interfaces);
-//   - poolsafe: no escapes of the pooled receive batch a StepRecvN
-//     callback is handed — the slice is overwritten by the next
-//     receive;
 //   - shardsafe: no mutable state shared between group bodies that can
 //     be homed to different shards, and no raw goroutines, channel ops
 //     or sync locking reachable from simulated code — both bypass
 //     virtual time and break the bit-identical sharding guarantee;
-//   - stepsafe: no step-continuation misuse — loop-shared variables
-//     captured across core.Step boundaries, *core.Ctx retained in
-//     package-level state, pooled batch types declared on step-record
-//     structs;
 //   - chargeflow: no loops over data inside charged contexts (group
-//     bodies, Ctx-taking helpers, step segments) whose work is never
+//     bodies, Ctx-taking helpers) whose work is never
 //     charged to the model — unaccounted compute silently corrupts T,
 //     E, P and the §3.1 drift gauges.
 //
@@ -84,9 +77,7 @@ func Analyzers() []*Analyzer {
 		Backdoor(),
 		SRound(),
 		Ckptsafe(),
-		Poolsafe(),
 		Shardsafe(),
-		Stepsafe(),
 		Chargeflow(),
 	}
 }

@@ -264,34 +264,36 @@ func (prog *Program) parseAndCheck(exports map[string]string) error {
 // computeAllFacts runs the bottom-up facts pass: packages analyze in
 // parallel, each gated on its module-internal imports (the import DAG
 // is the schedule). Cached packages contribute their saved facts.
+//
+// Every package's facts slot is allocated before the fan-out, so the
+// map itself is never written concurrently; each goroutine fills only
+// its own slot, and a package reads its dependencies' slots (through
+// FuncFacts) only after their done channels have closed, which orders
+// every read after the write it observes.
 func (prog *Program) computeAllFacts() {
 	done := map[string]chan struct{}{}
 	for _, p := range prog.Pkgs {
 		done[p.Path] = make(chan struct{})
+		prog.facts[p.Path] = &PkgFacts{}
 	}
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, p := range prog.Pkgs {
 		wg.Add(1)
-		go func(p *Pkg) {
+		go func(p *Pkg, slot *PkgFacts) {
 			defer wg.Done()
 			for _, imp := range p.imports {
 				<-done[imp]
 			}
 			sem <- struct{}{}
-			var pf *PkgFacts
 			if p.cached != nil {
-				pf = p.cached.facts()
+				*slot = *p.cached.facts()
 			} else {
-				pf = computeFacts(p)
+				*slot = *computeFacts(p)
 			}
 			<-sem
-			mu.Lock()
-			prog.facts[p.Path] = pf
-			mu.Unlock()
 			close(done[p.Path])
-		}(p)
+		}(p, prog.facts[p.Path])
 	}
 	wg.Wait()
 }

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"bytes"
+	"fmt"
 	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -91,6 +93,41 @@ func TestRepoIsClean(t *testing.T) {
 	for _, a := range res.Annotations {
 		if len(strings.Fields(a.Reason)) < 3 {
 			t.Errorf("annotation at %s has a token reason %q — justify it", a.Pos, a.Reason)
+		}
+	}
+}
+
+// TestRepoLintConcurrent lints the whole repo several times with four
+// Ps, so the parallel type-check and facts passes really overlap: the
+// facts pass once wrote its shared map while dependants read it, which
+// crashed `stamplint` intermittently ("concurrent map read and map
+// write"). Run under -race (make race), the detector checks every
+// cross-goroutine access as well; every round must also reproduce the
+// first round's findings exactly.
+func TestRepoLintConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole repo repeatedly")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	root := moduleRoot(t)
+	var first string
+	for round := 0; round < 3; round++ {
+		prog, err := LoadProgram(root, []string{"./..."}, LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := prog.Analyze(Analyzers())
+		var b strings.Builder
+		for _, f := range res.Findings {
+			b.WriteString(f.String() + "\n")
+		}
+		for _, a := range res.Annotations {
+			fmt.Fprintf(&b, "%s %s used=%v\n", a.Pos, a.Check, a.Used)
+		}
+		if round == 0 {
+			first = b.String()
+		} else if b.String() != first {
+			t.Fatalf("round %d differs from round 0:\n%s\n--- round 0 ---\n%s", round, b.String(), first)
 		}
 	}
 }

@@ -423,11 +423,18 @@ func FetchAdd[T int64 | int32 | int](r *Region[T], a Agent, i int, delta T) T {
 // ReadRange reads words [lo, hi) one serialized access at a time and
 // returns a copy.
 func (r *Region[T]) ReadRange(a Agent, lo, hi int) []T {
-	out := make([]T, 0, hi-lo)
+	return r.ReadRangeInto(a, lo, hi, make([]T, 0, hi-lo))
+}
+
+// ReadRangeInto is ReadRange into caller-owned storage: it appends the
+// words [lo, hi) to dst[:0] and returns the result, so a caller that
+// reads the same range every round can reuse one buffer.
+func (r *Region[T]) ReadRangeInto(a Agent, lo, hi int, dst []T) []T {
+	dst = dst[:0]
 	for i := lo; i < hi; i++ {
-		out = append(out, r.Read(a, i))
+		dst = append(dst, r.Read(a, i))
 	}
-	return out
+	return dst
 }
 
 // WriteRange writes vals starting at lo, one serialized access per word.

@@ -656,45 +656,6 @@ func (e *Endpoint) Recv(a Agent) Message {
 	return e.take(a, p, t0)
 }
 
-// StepRecvState carries one in-progress step-mode receive across
-// activation boundaries (the locals Recv keeps on its stack). The zero
-// value begins a fresh receive; a completed StepRecv resets it.
-type StepRecvState struct {
-	t0      sim.Time
-	before  sim.Time
-	began   bool
-	waiting bool
-}
-
-// StepRecv is Recv for step-proc activations: when a message is
-// available it dequeues and charges exactly as Recv does and returns
-// ok=true; when the inbox is empty it enrolls the proc on the receive
-// queue at an activation boundary and returns ok=false — the
-// activation must return its continuation and call StepRecv again (with
-// the same state) when it resumes. Wait-time accounting, re-waits
-// after a lost race for the message, and the dispatch order are all
-// identical to a goroutine proc blocking in Recv.
-func (e *Endpoint) StepRecv(a Agent, st *StepRecvState) (Message, bool) {
-	p := a.Proc()
-	if !st.began {
-		st.began = true
-		st.t0 = p.Now()
-	}
-	if st.waiting {
-		st.waiting = false
-		a.Counters().QueueWait += p.Now() - st.before
-	}
-	if len(e.inbox) == 0 {
-		st.before = p.Now()
-		st.waiting = true
-		e.rq.Enroll(p)
-		return Message{}, false
-	}
-	m := e.take(a, p, st.t0)
-	st.began = false
-	return m, true
-}
-
 // RecvTimeout is Recv with a deadline: it blocks until a message is
 // available or d ticks elapse, whichever comes first, and reports
 // which. The timed-out wait is counted in the QueueWait counter but
@@ -767,11 +728,19 @@ func (e *Endpoint) TryRecv(a Agent) (Message, bool) {
 
 // RecvN receives exactly n messages, blocking as needed.
 func (e *Endpoint) RecvN(a Agent, n int) []Message {
-	out := make([]Message, 0, n)
-	for len(out) < n {
-		out = append(out, e.Recv(a))
+	return e.RecvNInto(a, n, make([]Message, 0, n))
+}
+
+// RecvNInto is RecvN into caller-owned storage: it receives exactly n
+// messages, appends them to buf[:0] and returns the result, so a caller
+// that passes the previous round's batch back in receives without
+// allocating.
+func (e *Endpoint) RecvNInto(a Agent, n int, buf []Message) []Message {
+	buf = buf[:0]
+	for len(buf) < n {
+		buf = append(buf, e.Recv(a))
 	}
-	return out
+	return buf
 }
 
 // Broadcast sends payload from agent a (owner of e) to every endpoint

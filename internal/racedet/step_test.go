@@ -9,91 +9,42 @@ import (
 	"repro/internal/obs"
 )
 
-// Step-machine twins of the two seed examples: the same programs with
-// explicit continuations at their blocking points. Step procs have no
-// goroutine for the detector to observe — coordinates, spans and
-// ordering edges all flow through the Ctx — so their reports must be
-// byte-identical to the goroutine examples' pinned goldens.
+// These two tests once ran step-machine twins of the examples. That
+// execution mode is gone; they now run the examples with the kernel's
+// hold fast path off, so every charge parks its coroutine and the
+// detector sees each release edge through the slow dispatch path. The
+// reports must still match the pinned goldens byte-for-byte.
 
-func stepRacyExample(sys *core.System) {
-	x := memory.NewRegion[int64](sys.Mem, "racy/x", memory.Inter, 0, 1)
-	sys.NewStepGroup("racy", exampleAttrs, 2, func(ctx *core.Ctx) core.Step {
-		return func(c *core.Ctx) core.Step {
-			c.StepUnitBegin()
-			c.StepRoundBegin()
-			if c.Index() == 0 {
-				c.IntOps(4)
-				x.Write(c, 0, 42)
-			} else {
-				c.IntOps(2)
-				_ = x.Read(c, 0)
-			}
-			return c.StepRoundEnd(stepSealUnit)
-		}
-	})
-}
-
-func stepSealUnit(c *core.Ctx) core.Step {
-	c.StepUnitEnd()
-	return nil
-}
-
-func stepFixedExample(sys *core.System) {
-	x := memory.NewRegion[int64](sys.Mem, "fixed/x", memory.Inter, 0, 1)
-	sys.NewStepGroup("fixed", exampleAttrs, 2, func(ctx *core.Ctx) core.Step {
-		if ctx.Index() == 0 {
-			return func(c *core.Ctx) core.Step {
-				c.StepUnitBegin()
-				c.StepRoundBegin()
-				c.IntOps(4)
-				x.Write(c, 0, 42)
-				return c.StepRoundEnd(func(c *core.Ctx) core.Step {
-					c.StepUnitEnd()
-					return c.StepBarrier(nil)
-				})
-			}
-		}
-		return func(c *core.Ctx) core.Step {
-			return c.StepBarrier(func(c *core.Ctx) core.Step {
-				c.StepUnitBegin()
-				c.StepRoundBegin()
-				c.IntOps(2)
-				_ = x.Read(c, 0)
-				return c.StepRoundEnd(stepSealUnit)
-			})
-		}
-	})
-}
-
-// TestStepModeRacyGolden runs the step-machine racy twin and requires
-// the detector's report to match the goroutine example's golden
-// byte-for-byte: same race, same virtual times, same S-unit/S-round
-// coordinates, same span references.
-func TestStepModeRacyGolden(t *testing.T) {
+// runSlowPath runs example on a fresh traced system whose kernel never
+// coalesces holds, and returns the attached detector.
+func runSlowPath(t *testing.T, example func(*core.System) (*core.Group, *memory.Region[int64])) *Detector {
+	t.Helper()
 	sys := core.NewSystem(machine.Generic(), core.WithObs(obs.NewObserver()))
+	sys.K.DisableFastPath = true
 	d := Attach(sys)
-	stepRacyExample(sys)
+	example(sys)
 	if err := sys.Run(); err != nil {
-		t.Fatalf("step racy example: %v", err)
+		t.Fatalf("example: %v", err)
 	}
+	return d
+}
+
+// TestStepModeRacyGolden: same race, same virtual times, same
+// S-unit/S-round coordinates and span references on the slow path.
+func TestStepModeRacyGolden(t *testing.T) {
+	d := runSlowPath(t, RacyExample)
 	checkGolden(t, "racy", d.Text())
 	if d.Report() == nil {
-		t.Fatal("step racy example reported no race")
+		t.Fatal("racy example reported no race on the slow path")
 	}
 }
 
-// TestStepModeFixedGolden runs the barrier-fixed twin: the step
-// barrier's release edges must order the write before the read exactly
-// as the goroutine barrier's do, yielding the clean-run golden.
+// TestStepModeFixedGolden: the barrier's release edges order the write
+// before the read on the slow path too, yielding the clean golden.
 func TestStepModeFixedGolden(t *testing.T) {
-	sys := core.NewSystem(machine.Generic(), core.WithObs(obs.NewObserver()))
-	d := Attach(sys)
-	stepFixedExample(sys)
-	if err := sys.Run(); err != nil {
-		t.Fatalf("step fixed example: %v", err)
-	}
+	d := runSlowPath(t, FixedExample)
 	checkGolden(t, "fixed", d.Text())
 	if d.Report() != nil {
-		t.Fatalf("step fixed example reported a race: %s", d.Text())
+		t.Fatalf("fixed example reported a race on the slow path: %s", d.Text())
 	}
 }

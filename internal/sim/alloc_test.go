@@ -4,7 +4,7 @@ import "testing"
 
 // The dispatch hot path must not allocate: events live inline in the
 // heap's slice (spare capacity is the free pool), coalesced holds touch
-// no queue at all, and parking reuses the goroutine's pooled sudog.
+// no queue at all, and parking is a coroutine switch.
 // These tests pin that property so a future "small" change (an
 // interface box, a closure capture, a per-event pointer) fails loudly
 // rather than silently regressing every benchmark.
@@ -29,8 +29,7 @@ func TestDispatchPathZeroAlloc(t *testing.T) {
 // TestSlowPathZeroAllocSteadyState covers the full park → heap → resume
 // cycle: a timer callback inside every hold window forces the slow
 // path (the heap is never empty at the hold), yet after warm-up — heap
-// capacity grown, sudogs pooled — the steady state must be
-// allocation-free.
+// capacity grown — the steady state must be allocation-free.
 func TestSlowPathZeroAllocSteadyState(t *testing.T) {
 	k := NewKernel()
 	var avg float64
@@ -52,9 +51,8 @@ func TestSlowPathZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestCrossProcHandoffZeroAllocSteadyState covers baton handoff between
-// two goroutines: each measured round is two wakes and two direct
-// resumes. AllocsPerRun reads global malloc counters and the kernel is
+// TestCrossProcHandoffZeroAllocSteadyState covers handoff between two
+// coroutines: each measured round is two wakes and two resumes. AllocsPerRun reads global malloc counters and the kernel is
 // strictly sequential, so the partner's allocations (there must be
 // none) are counted too.
 func TestCrossProcHandoffZeroAllocSteadyState(t *testing.T) {
@@ -87,64 +85,32 @@ func TestCrossProcHandoffZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestStepChurnZeroAllocSteadyState covers step-proc spawn→exit churn:
-// after warm-up (free list primed, joiner-queue and heap capacity
-// grown, one carrier pooled) a full spawn + retire + recycle + join
-// cycle must be allocation-free. This is the property the
-// Kernel_SpawnChurn benchmark reports and CI gates on.
-func TestStepChurnZeroAllocSteadyState(t *testing.T) {
+// TestStatsZeroAlloc pins the work counters' cost: counting a parked
+// hold and a coalesced one, and reading the counters back, allocates
+// nothing.
+func TestStatsZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	var avg float64
-	k.Spawn("driver", func(p *Proc) {
-		churn := func() {
-			c := k.SpawnStep("churn", stepExit)
-			p.Join(c)
+	var st Stats
+	k.Spawn("p", func(p *Proc) {
+		for i := 0; i < 64; i++ {
+			k.Schedule(1, nopFn)
+			p.Hold(2)
 		}
-		for i := 0; i < 64; i++ { // warm up free list, heap, carrier pool
-			churn()
-		}
-		avg = testing.AllocsPerRun(500, churn)
+		avg = testing.AllocsPerRun(500, func() {
+			k.Schedule(1, nopFn)
+			p.Hold(2) // parks: a timer sits inside the window
+			p.Hold(1) // coalesces: the queue is empty
+			st = k.Stats()
+		})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if avg != 0 {
-		t.Fatalf("step spawn/exit churn allocates %.2f/run, want 0", avg)
+		t.Fatalf("counted holds allocate %.2f/run, want 0", avg)
 	}
-}
-
-// TestStepSpawnCycleZeroAllocSteadyState is the all-step variant: the
-// driver itself is a step proc, so the cycle never leaves one carrier
-// goroutine — the configuration BenchmarkKernel_Spawn measures.
-func TestStepSpawnCycleZeroAllocSteadyState(t *testing.T) {
-	k := NewKernel()
-	var avg float64
-	phase := 0
-	var root StepFunc
-	root = func(p *Proc) StepFunc {
-		// Warm-up spawns happen through the boundary-parking join path;
-		// the measured cycles then run via AllocsPerRun with a
-		// mid-activation join (Join parks the carrier), which reuses the
-		// pooled sudog and allocates nothing at steady state.
-		if phase < 64 {
-			phase++
-			c := k.SpawnStep("child", benchStepChild)
-			if !p.StepJoin(c) {
-				return root
-			}
-			return root
-		}
-		avg = testing.AllocsPerRun(500, func() {
-			c := k.SpawnStep("child", benchStepChild)
-			p.Join(c)
-		})
-		return nil
-	}
-	k.SpawnStep("root", root)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if avg != 0 {
-		t.Fatalf("step spawn cycle allocates %.2f/run, want 0", avg)
+	if st.Holds == 0 || st.Coalesced == 0 || st.Parks == 0 {
+		t.Fatalf("counters not advancing: %+v", st)
 	}
 }

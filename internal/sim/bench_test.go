@@ -23,9 +23,9 @@ func BenchmarkKernel_HoldLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_PingPong measures the full park → heap → channel
+// BenchmarkKernel_PingPong measures the full park → heap → resume
 // round-trip: two processes alternating through semaphores, so every
-// round costs two wake events and two goroutine handoffs. This is the
+// round costs two wake events and four coroutine switches. This is the
 // path the coalescing fast path cannot elide.
 func BenchmarkKernel_PingPong(b *testing.B) {
 	k := NewKernel()
@@ -49,53 +49,15 @@ func BenchmarkKernel_PingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_Spawn measures process creation on the step-machine
-// path: spawn, one hold, join — the whole cycle runs on one carrier
-// goroutine with no stack allocation, no channel handoff and, at
-// steady state, no heap allocation (the Proc record recycles through
-// the free list). BenchmarkKernel_SpawnGoroutine is the same program
-// on goroutine procs.
+// BenchmarkKernel_Spawn measures process creation: spawn, one hold,
+// join. At steady state the child's Proc record and coroutine worker
+// both come from the kernel's pools, so a cycle allocates nothing and
+// starts no goroutine.
 func BenchmarkKernel_Spawn(b *testing.B) {
-	k := NewKernel()
-	n := 0
-	var root StepFunc
-	root = func(p *Proc) StepFunc {
-		for n < b.N {
-			n++
-			c := k.SpawnStep("child", benchStepChild)
-			if !p.StepJoin(c) {
-				return root
-			}
-		}
-		return nil
-	}
-	k.SpawnStep("root", root)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func benchStepChild(p *Proc) StepFunc {
-	if p.StepHold(1) {
-		return nil
-	}
-	return stepExitBench
-}
-
-func stepExitBench(p *Proc) StepFunc { return nil }
-
-// BenchmarkKernel_SpawnGoroutine is the old spawn benchmark: one
-// goroutine (and stack) per child, records retained until the run ends.
-func BenchmarkKernel_SpawnGoroutine(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("root", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			c := k.Spawn("child", func(c *Proc) {
-				c.Hold(1)
-			})
-			p.Join(c)
+			p.Join(k.Spawn("child", benchChild))
 		}
 	})
 	b.ReportAllocs()
@@ -105,26 +67,22 @@ func BenchmarkKernel_SpawnGoroutine(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_SpawnChurn measures pure spawn→exit churn on the
-// step path: the child finishes on its first activation, so every
-// cycle exercises free-list take, retire and recycle. Steady state
-// must be 0 allocs/op (TestStepChurnZeroAllocSteadyState enforces the
-// exact-zero property; CI gates on this benchmark's allocs/op column).
+func benchChild(p *Proc) { p.Hold(1) }
+
+func benchExit(p *Proc) {}
+
+// BenchmarkKernel_SpawnChurn measures pure spawn→exit churn: the child
+// finishes on its first activation, so every cycle exercises free-list
+// take, worker bind, retire and recycle. Steady state must be 0
+// allocs/op (TestStepChurnZeroAllocSteadyState enforces the exact-zero
+// property; CI gates on this benchmark's allocs/op column).
 func BenchmarkKernel_SpawnChurn(b *testing.B) {
 	k := NewKernel()
-	n := 0
-	var root StepFunc
-	root = func(p *Proc) StepFunc {
-		for n < b.N {
-			n++
-			c := k.SpawnStep("child", stepExitBench)
-			if !p.StepJoin(c) {
-				return root
-			}
+	k.Spawn("root", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Join(k.Spawn("child", benchExit))
 		}
-		return nil
-	}
-	k.SpawnStep("root", root)
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
@@ -132,11 +90,13 @@ func BenchmarkKernel_SpawnChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_MillionProcs cycles ~1M step procs through one run
-// in waves, with at most one wave live at a time, and reports observed
+// BenchmarkKernel_MillionProcs cycles ~1M procs through one run in
+// waves, with at most one wave live at a time, and reports observed
 // peak heap growth divided by total procs spawned. O(live) memory
-// means the metric stays far below one Proc record's size (~200 B);
+// means the metric stays far below one Proc record's size (~150 B);
 // retaining every record would push it to hundreds of bytes per proc.
+// (Coroutine stacks are not heap; the pooled workers cap them at one
+// wave's worth.)
 func BenchmarkKernel_MillionProcs(b *testing.B) {
 	const (
 		perWave = 1024
@@ -149,14 +109,11 @@ func BenchmarkKernel_MillionProcs(b *testing.B) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		base = ms.HeapAlloc
-		wave := 0
-		var root StepFunc
-		root = func(p *Proc) StepFunc {
-			for wave < waves {
-				wave++
+		k.Spawn("root", func(p *Proc) {
+			for wave := 1; wave <= waves; wave++ {
 				var last *Proc
 				for j := 0; j < perWave; j++ {
-					last = k.SpawnStep("w", benchStepChild)
+					last = k.Spawn("w", benchChild)
 				}
 				if wave%128 == 0 {
 					runtime.GC()
@@ -165,13 +122,9 @@ func BenchmarkKernel_MillionProcs(b *testing.B) {
 						peak = ms.HeapAlloc
 					}
 				}
-				if !p.StepJoin(last) {
-					return root
-				}
+				p.Join(last)
 			}
-			return nil
-		}
-		k.SpawnStep("root", root)
+		})
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}

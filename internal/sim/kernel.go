@@ -1,20 +1,15 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Simulated processes execute in one of two modes. Goroutine procs
-// (Spawn) run arbitrary blocking Go code on a goroutine of their own;
-// step procs (SpawnStep) are resumable state machines executed on
-// pooled carrier goroutines with no stack of their own (see step.go).
-// Either way the kernel enforces strictly sequential execution: at any
-// instant exactly one goroutine runs, with control transferred by
-// direct channel handoff. The dispatch loop is not pinned to a kernel
-// goroutine — it is a baton: the goroutine that parks runs the loop
-// itself and resumes the next runnable process directly, so a park
-// costs one goroutine switch, not two, and costs none at all when the
-// next runnable process is the parker itself (or, for step procs, a
-// step activation the same carrier can run in place).
-// Virtual time is an int64 tick counter; events are dispatched in
-// (time, sequence) order, so every run of the same program is
-// bit-for-bit reproducible regardless of host scheduling.
+// Simulated processes are plain blocking Go functions, each run as a
+// stdlib coroutine (iter.Pull) on a pooled worker. One dispatch loop,
+// on the goroutine that calls Run or RunUntil, pops events in (time,
+// sequence) order and resumes the process each wake belongs to with
+// the coroutine's next(); a process gives control back by parking,
+// which is a yield. Exactly one of the loop and the processes runs at
+// any instant, and the hand-over is a direct coroutine switch, not a
+// trip through the Go scheduler. Virtual time is an int64 tick
+// counter, so every run of the same program is bit-for-bit
+// reproducible regardless of host scheduling.
 //
 // The kernel knows nothing about machines, energy or the STAMP model; it
 // provides only time, processes, wait queues and timer callbacks. Higher
@@ -64,21 +59,19 @@ type Kernel struct {
 	// Live processes form an intrusive doubly-linked list in spawn
 	// order (Proc.prevLive/nextLive). Finished procs leave the list, so
 	// kernel memory is O(live procs), not O(procs ever spawned) — the
-	// property that lets one run cycle through millions of step procs.
+	// property that lets one run cycle through millions of processes.
 	liveHead *Proc
 	liveTail *Proc
 
 	live    int // spawned and not yet finished
-	done    chan struct{}
 	err     error
-	inCall  bool // a kernel-context callback is on the stack
 	nextID  int
 	running bool
 
-	// cur is the process whose goroutine currently holds the baton, or
-	// nil in kernel context (Run's seed dispatch, evCall callbacks,
-	// teardown). It exists so probe hooks can attribute wait-queue
-	// signals and spawns to the process that issued them.
+	// cur is the process the dispatch loop has resumed, or nil in
+	// kernel context (evCall callbacks, teardown). It exists so probe
+	// hooks can attribute wait-queue signals and spawns to the process
+	// that issued them.
 	cur *Proc
 
 	// probe, when non-nil, observes synchronization structure (see
@@ -86,70 +79,63 @@ type Kernel struct {
 	// case costs nothing.
 	probe Probe
 
-	// Error-path teardown state (see finish). stopped marks the kernel
-	// permanently dead after an error-terminated Run; poisoned is set
-	// while (and after) parked processes are being unwound; unwound is
-	// the rendezvous each unwinding goroutine signals on; doneSender,
-	// when non-nil, is the process whose own unwind must deliver the
-	// done signal (the process that detected the error from inside its
-	// park and still has its own stack to unwind).
-	stopped    bool
-	poisoned   bool
-	unwound    chan struct{}
-	doneSender *Proc
-	// unwindRest holds the processes spawned after doneSender that are
-	// still to unwind; doneSender's retirement drains it so teardown
-	// defer order is spawn order in both execution modes.
-	unwindRest []*Proc
+	// Error-path teardown state (see teardown). stopped marks the
+	// kernel permanently dead after an error-terminated Run; poisoned
+	// is set while (and after) parked processes are being unwound.
+	stopped  bool
+	poisoned bool
 
 	// MaxEvents bounds the number of dispatched events; 0 means no
 	// bound. Exceeding it makes Run return ErrEventLimit. Coalesced
 	// holds (see Proc.Hold) count as dispatches, so the bound is
 	// independent of whether the fast path fires.
-	MaxEvents  int64
-	dispatched int64
+	MaxEvents int64
+
+	// stats are the host-side work counters behind Stats; stats.Events
+	// doubles as the dispatch count MaxEvents bounds.
+	stats Stats
 
 	// interrupt, when set, asks dispatch to end the run at the next
 	// event boundary (see Interrupt). It is the kernel's only state a
-	// goroutine outside the baton may touch, hence the atomic.
+	// goroutine other than the dispatcher may touch, hence the atomic.
 	interrupt atomic.Pointer[ErrInterrupted]
 
 	// DisableFastPath turns off the hold-coalescing fast path so every
-	// Hold takes the park → heap → channel slow path. The two modes are
-	// observationally equivalent; the flag exists so tests can assert
-	// exactly that (see fuzz_test.go).
+	// Hold parks its coroutine and is resumed by dispatch. The two
+	// modes are observationally equivalent; the flag exists so tests
+	// can assert exactly that (see fuzz_test.go).
 	DisableFastPath bool
 
-	// Windowed execution state (see RunUntil and shard.go). pauseAt,
-	// when nonzero, is an exclusive dispatch horizon: instead of
-	// finishing, dispatch pauses once every remaining event sits at or
-	// past the horizon — or the queue is empty with processes still
-	// live, since under sharding a neighbouring shard may yet post work
-	// for them. paused records that the last done signal was a pause,
-	// not a completion.
+	// pauseAt, when nonzero, is RunUntil's exclusive dispatch horizon:
+	// instead of finishing, dispatch pauses once every remaining event
+	// sits at or past the horizon — or the queue is empty with
+	// processes still live, since under sharding a neighbouring shard
+	// may yet post work for them (see shard.go).
 	pauseAt Time
-	paused  bool
 
-	// Step-machine execution state (see step.go): the free list of
-	// recycled Proc records, the pool of idle carrier goroutines, and
-	// the runnable step proc dispatch is handing to a carrier's own
-	// loop (valid only across a batonStep return).
-	freeProcs    []*Proc
-	idleCarriers []*carrier
-	stepNext     *Proc
+	// freeProcs holds retired Proc records for reuse and idle holds the
+	// coroutine workers with no process bound (see proc.go), so
+	// spawn→exit churn allocates nothing at steady state.
+	freeProcs []*Proc
+	idle      []*worker
 }
+
+// Stats are the kernel's host-side work counters. They count work, not
+// time, so they are a deterministic function of the simulated program:
+// a change that adds coroutine switches shows up here on any host.
+type Stats struct {
+	Events    int64 // dispatched events, coalesced holds included
+	Holds     int64 // Proc.Hold calls
+	Coalesced int64 // holds that took the fast path instead of parking
+	Parks     int64 // times a process yielded to the dispatch loop
+	Resumes   int64 // coroutine resumes: first activations plus wakes
+}
+
+// Stats returns the kernel's work counters so far.
+func (k *Kernel) Stats() Stats { return k.stats }
 
 // NewKernel returns an empty simulator positioned at time 0.
-func NewKernel() *Kernel {
-	return &Kernel{
-		// Buffered so the goroutine that ends the simulation can signal
-		// Run and exit without a rendezvous.
-		done: make(chan struct{}, 1),
-		// Unbuffered on purpose: teardown unwinds parked goroutines one
-		// at a time, and the rendezvous is the sequencing.
-		unwound: make(chan struct{}),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -218,9 +204,9 @@ func (k *Kernel) canCoalesce(d Time) bool {
 	return k.running &&
 		!k.DisableFastPath &&
 		(k.events.Len() == 0 || k.events.min().at > k.now+d) &&
-		(k.MaxEvents <= 0 || k.dispatched < k.MaxEvents) &&
+		(k.MaxEvents <= 0 || k.stats.Events < k.MaxEvents) &&
 		// A pending interrupt must force the slow path: a compute-bound
-		// proc coalescing holds never re-enters dispatch, and dispatch
+		// proc coalescing holds never returns to dispatch, and dispatch
 		// is where the interrupt is honoured.
 		k.interrupt.Load() == nil &&
 		// Never coalesce across a RunUntil horizon: the skipped wake
@@ -233,16 +219,16 @@ func (k *Kernel) canCoalesce(d Time) bool {
 // Spawn creates a new process named name running fn and schedules its
 // first activation at the current time. It may be called before Run or
 // from inside a running process.
+//
+// Handle lifetime: the Proc record is drawn from the kernel's free list
+// and returns to it when the process finishes, so the returned *Proc
+// may later name a different process. Callers that use the handle after
+// the process has finished and other processes have been spawned
+// (joining late, introspection, killing from a timer) must Pin it.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		id:     k.nextID,
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateNew,
-		fn:     fn,
-	}
-	k.nextID++
+	p := k.takeProc()
+	p.name = name
+	p.fn = fn
 	k.alive(p)
 	k.live++
 	if k.probe != nil {
@@ -254,7 +240,8 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // Schedule runs fn in kernel context after delay d. fn must not block;
 // it may spawn processes, signal wait queues and schedule further
-// callbacks.
+// callbacks. It runs on the dispatch loop itself, so a panic in fn is a
+// kernel bug and propagates out of Run rather than becoming a ProcPanic.
 func (k *Kernel) Schedule(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -327,15 +314,12 @@ func (e *ProcPanic) Error() string {
 // a process panic, a deadlock, the event limit, or ErrStopped if a
 // previous Run already failed.
 //
-// An error return is a full teardown: before Run returns, every parked
-// process goroutine is poison-resumed, unwound through its deferred
-// functions, and retired, so no goroutine outlives an error-terminated
-// Run. The kernel is then permanently stopped (see ErrStopped).
-//
-// Run's goroutine is not the dispatcher. It seeds the baton — the right
-// to run the dispatch loop — and then waits for whichever goroutine
-// ends the simulation to signal completion. The baton passes directly
-// from the goroutine that parks to the goroutine it wakes.
+// The calling goroutine is the dispatcher: it pops events and resumes
+// each process's coroutine in turn. An error return is a full
+// teardown: before Run returns, every parked process is unwound
+// through its deferred functions and retired, and every coroutine has
+// exited, so no goroutine outlives Run. The kernel is then permanently
+// stopped (see ErrStopped).
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Kernel.Run is not reentrant")
@@ -345,22 +329,16 @@ func (k *Kernel) Run() error {
 	}
 	k.running = true
 	defer func() { k.running = false }()
-
-	k.err = nil
-	k.doneSender = nil
-	k.cur = nil
-	k.dispatch(nil, nil)
-	<-k.done
+	k.dispatch()
 	return k.err
 }
 
 // RunUntil dispatches events with timestamps strictly below horizon,
-// then pauses, preserving every parked process, queued event and idle
-// carrier so a later RunUntil (with a larger horizon) resumes
-// seamlessly — the primitive the shard coordinator (ShardGroup) drives
-// each lookahead window with. Within the dispatched prefix, event
-// order is identical to an unwindowed Run: pausing stops the loop, it
-// never reorders it.
+// then pauses, preserving every parked process and queued event so a
+// later RunUntil (with a larger horizon) resumes seamlessly — the
+// primitive the shard coordinator (ShardGroup) drives each lookahead
+// window with. Within the dispatched prefix, event order is identical
+// to an unwindowed Run: pausing stops the loop, it never reorders it.
 //
 // done=false means the kernel paused at the horizon. done=true means
 // it will never dispatch again on its own: either the simulation
@@ -382,47 +360,14 @@ func (k *Kernel) RunUntil(horizon Time) (done bool, err error) {
 	}
 	k.running = true
 	k.pauseAt = horizon
-	k.paused = false
 	defer func() {
 		k.running = false
 		k.pauseAt = 0
 	}()
-
-	k.err = nil
-	k.doneSender = nil
-	k.cur = nil
-	k.dispatch(nil, nil)
-	<-k.done
-	if k.paused {
-		k.paused = false
+	if k.dispatch() {
 		return false, nil
 	}
 	return true, k.err
-}
-
-// pause suspends dispatch at the RunUntil horizon: the baton holder
-// signals completion exactly as finish does, but keeps all simulation
-// state intact. The verdict mirrors an ordinary baton handoff — a
-// parked process blocks on its resume channel, a carrier parks on the
-// idle pool and then its own channel, and a bare dispatcher
-// (RunUntil's seed, a finished process's trailing dispatch) stops.
-// After the done send the pausing goroutine touches only its own
-// channel, so the coordinator may immediately start the next window.
-func (k *Kernel) pause(self *Proc, c *carrier) batonState {
-	k.paused = true
-	k.cur = nil
-	if c != nil {
-		k.idleCarriers = append(k.idleCarriers, c)
-	}
-	k.done <- struct{}{}
-	if self != nil || c != nil {
-		// A carrier was enqueued on the idle pool above and must park
-		// on its channel, not exit: a later window's handToCarrier may
-		// pick it. batonStop here would leak a dead carrier into the
-		// pool and strand the proc handed to it.
-		return batonPassed
-	}
-	return batonStop
 }
 
 // NextEventAt returns the timestamp of the earliest queued event;
@@ -452,109 +397,54 @@ func (k *Kernel) AbortPaused() {
 	if k.stopped {
 		return
 	}
-	k.stopped = true
-	k.drainCarriers()
-	k.teardown(nil)
+	k.teardown()
 }
 
-// batonState is dispatch's verdict on where the baton went.
-type batonState uint8
-
-const (
-	// batonPassed: the baton went to another goroutine (or the
-	// simulation finished with the caller not parked); the caller must
-	// block on its resume channel or return.
-	batonPassed batonState = iota
-	// batonSelf: the next runnable process is the caller; it resumes in
-	// place with no channel handoff.
-	batonSelf
-	// batonDead: the simulation terminated with an error while the
-	// caller was parked; the caller must unwind instead of resuming.
-	batonDead
-	// batonStep: the next runnable work is a step activation and the
-	// caller is a carrier's top-level loop; the proc is in k.stepNext
-	// and the carrier runs it in place with no handoff at all. Only
-	// dispatch calls with a carrier receive this.
-	batonStep
-	// batonStop: the simulation finished while the caller held the
-	// baton with no proc of its own (a carrier loop, Run's seed
-	// dispatch, or a finished proc's trailing dispatch); the caller
-	// simply stops.
-	batonStop
-)
-
-// dispatch runs the event loop while the calling goroutine holds the
-// scheduler baton. self is the process whose goroutine is calling (nil
-// from Run, from a finished process, or from a carrier's top-level
-// loop); c is the carrier whose loop is calling (nil everywhere else —
-// self and c are never both non-nil). It returns batonSelf when the
-// next runnable process is self — the caller resumes in place with no
-// channel handoff at all — batonStep when the caller is a carrier loop
-// and the next runnable work is a step activation it should run in
-// place (k.stepNext), batonDead when the simulation ended in an error
-// while self was parked (the caller must unwind), batonStop when the
-// simulation ended with the caller not parked, and batonPassed after
-// handing the baton to another goroutine.
-//
-// Step activations are run in place only from a carrier's top level:
-// dispatching from under a parked proc's stack (self != nil) must hand
-// the activation to a carrier instead, because running it inline would
-// bury the activation beneath frames that can only unwind when the
-// parked proc resumes — a deadlock if the activation's own park is
-// what eventually wakes the parked proc. A carrier that hands the
-// baton to another goroutine first parks itself on the idle pool;
-// kernel state may only be touched while holding the baton.
-//
-// The pop sequence and event handling are identical to a centralized
-// loop; only the goroutine executing them differs, so dispatch order —
-// and therefore every virtual-time result — is unchanged.
-func (k *Kernel) dispatch(self *Proc, c *carrier) batonState {
+// dispatch is the event loop. It runs on the Run/RunUntil goroutine
+// and returns when the run completes (k.err == nil), fails (k.err set,
+// kernel torn down) or, under RunUntil, reaches the horizon — the one
+// case it reports with paused=true, leaving every coroutine suspended
+// where it is for the next window.
+func (k *Kernel) dispatch() (paused bool) {
+	k.err = nil
 	for {
 		if e := k.interrupt.Load(); e != nil {
 			e.At = k.now
-			k.finish(e, self)
-			return k.batonAfterFinish(self)
+			k.fail(e)
+			return false
 		}
 		if k.pauseAt > 0 {
 			if n := k.events.Len(); (n == 0 && k.live > 0) || (n > 0 && k.events.min().at >= k.pauseAt) {
-				return k.pause(self, c)
+				return true
 			}
 		}
 		if k.events.Len() == 0 {
 			if k.live == 0 {
-				k.finish(nil, self)
+				// Completed: no coroutine may outlive the run. A later
+				// Run starts fresh workers on demand.
+				k.stopIdle()
 			} else {
-				k.finish(&ErrDeadlock{At: k.now, Blocked: k.blockedNames()}, self)
+				k.fail(&ErrDeadlock{At: k.now, Blocked: k.blockedNames()})
 			}
-			return k.batonAfterFinish(self)
+			return false
 		}
 		ev := k.events.pop()
-		k.dispatched++
-		if k.MaxEvents > 0 && k.dispatched > k.MaxEvents {
-			k.finish(&ErrEventLimit{Limit: k.MaxEvents}, self)
-			return k.batonAfterFinish(self)
+		k.stats.Events++
+		if k.MaxEvents > 0 && k.stats.Events > k.MaxEvents {
+			k.fail(&ErrEventLimit{Limit: k.MaxEvents})
+			return false
 		}
 		k.now = ev.at
 
 		switch ev.kind {
 		case evCall:
-			// inCall distinguishes a callback panic (a kernel-context
-			// bug that must crash, as an unrecovered panic did under
-			// the centralized loop) from a process-body panic (reported
-			// as ProcPanic); see Proc.run.
-			k.cur = nil
-			k.inCall = true
 			ev.fn()
-			k.inCall = false
 		case evStart:
 			p := ev.proc
 			p.refs--
 			if p.killed {
 				// Killed before first activation: retire without the
-				// body ever running (no goroutine, no finalizer). The
-				// joiner wakes carry no process edge (kernel context),
-				// so clear cur.
-				k.cur = nil
+				// body ever running.
 				p.state = stateDone
 				k.live--
 				k.unlive(p)
@@ -562,21 +452,10 @@ func (k *Kernel) dispatch(self *Proc, c *carrier) batonState {
 				k.maybeRecycle(p)
 				continue
 			}
-			p.state = stateRunning
-			k.cur = p
-			if p.isStep {
-				if c != nil {
-					k.stepNext = p
-					return batonStep
-				}
-				k.handToCarrier(p)
-				return batonPassed
-			}
-			if c != nil {
-				k.idleCarriers = append(k.idleCarriers, c)
-			}
-			go p.run()
-			return batonPassed
+			w := k.takeWorker()
+			w.p = p
+			p.w = w
+			k.resume(p)
 		case evWake:
 			p := ev.proc
 			p.refs--
@@ -589,145 +468,72 @@ func (k *Kernel) dispatch(self *Proc, c *carrier) batonState {
 			if p.state != stateWaiting {
 				panic(fmt.Sprintf("sim: wake of process %q in state %v", p.name, p.state))
 			}
-			if p.isStep && !p.midParked {
-				// Boundary-parked step proc: there is no goroutine to
-				// resume — run (or hand off) the next activation, or
-				// retire in place if the wake is a kill's poison wake.
-				if p.killed {
-					k.retireKilledStep(p)
-					continue
-				}
-				p.state = stateRunning
-				k.cur = p
-				if c != nil {
-					k.stepNext = p
-					return batonStep
-				}
-				k.handToCarrier(p)
-				return batonPassed
-			}
-			p.state = stateRunning
-			k.cur = p
-			if p == self {
-				return batonSelf
-			}
-			if c != nil {
-				k.idleCarriers = append(k.idleCarriers, c)
-			}
-			p.resume <- struct{}{}
-			return batonPassed
+			k.resume(p)
+		}
+		if k.err != nil {
+			// A process body panicked (see Proc.run).
+			k.teardown()
+			return false
 		}
 	}
 }
 
-// batonAfterFinish classifies the dispatch return after finish: a
-// caller that was parked when the error hit must unwind its own stack
-// (batonDead); otherwise — Run's seed dispatch, a finished process's
-// trailing dispatch, a carrier loop, or a normal end — the baton
-// simply stops.
-func (k *Kernel) batonAfterFinish(self *Proc) batonState {
-	if self != nil && k.poisoned {
-		return batonDead
+// resume switches to p's coroutine and returns when p parks or
+// finishes. A worker whose process finished is idle again: it goes
+// back on the pool, suspended at the top of its loop.
+func (k *Kernel) resume(p *Proc) {
+	w := p.w
+	p.state = stateRunning
+	k.cur = p
+	k.stats.Resumes++
+	w.next()
+	k.cur = nil
+	if p.state == stateDone {
+		p.w = nil
+		k.idle = append(k.idle, w)
 	}
-	return batonStop
 }
 
-// finish records the simulation outcome and releases Run. Exactly one
-// goroutine holds the baton at any instant, and dispatch stops looping
-// after calling finish, so it runs at most once per Run.
-//
-// On an error outcome finish also tears the kernel down: every parked
-// process goroutine is poison-resumed and fully unwound (running its
-// deferred functions) before Run returns, so an error-terminated Run
-// strands nothing. self is the process whose goroutine detected the
-// error (nil when that was Run's seed dispatch or a finished process's
-// trailing dispatch). self cannot unwind itself from here — that
-// happens when its enclosing park observes batonDead — so when self is
-// still parked, the done signal is deferred to self's own unwind
-// (doneSender; see Proc.run).
-func (k *Kernel) finish(err error, self *Proc) {
-	k.drainCarriers()
+// fail records err as the run's outcome and tears the kernel down.
+func (k *Kernel) fail(err error) {
 	k.err = err
-	if err != nil {
-		k.stopped = true
-		k.teardown(self)
-		if self != nil && self.state == stateWaiting {
-			k.doneSender = self
-			return
-		}
-	}
-	k.done <- struct{}{}
+	k.teardown()
 }
 
-// teardown unwinds every parked process except self: goroutine procs
-// (and step procs parked mid-activation on a carrier) are
-// poison-resumed one at a time, each goroutine finishing its unwind
-// before the next is resumed — the one-goroutine-at-a-time invariant
-// holds even through error exits, so unwinding defers may safely touch
-// kernel state. Boundary-parked step procs have no goroutine: they are
-// retired in place (teardownStep), their finalizers observing
-// Unwinding() exactly as a goroutine's defers would. The waiting set
-// is snapshotted first because retirement edits the live list.
-//
-// Unwind order is spawn order, including self's slot: which goroutine
-// detects the error depends on where the baton happens to be — a
-// mode-dependent accident (a killed goroutine proc unwinds through a
-// channel handoff while a killed boundary-parked step proc retires
-// inline in dispatch, leaving the baton elsewhere) — so self cannot
-// simply unwind last without step and goroutine runs of the same
-// program tearing down in different defer orders. Processes spawned
-// before self unwind here; self unwinds when its park observes
-// batonDead; the rest are stashed on unwindRest and unwound from
-// self's own retirement (see finishTeardown).
-func (k *Kernel) teardown(self *Proc) {
+// teardown unwinds every parked process, in spawn order, by stopping
+// its coroutine: the pending yield returns false and the park panics
+// the errUnwind sentinel through the body, so its deferred functions
+// run before the coroutine exits. One coroutine unwinds at a time, so
+// unwinding defers may still touch kernel state. Idle workers are then
+// stopped too, and the kernel is left permanently stopped. The
+// waiting set is snapshotted first because retirement edits the live
+// list.
+func (k *Kernel) teardown() {
+	k.stopped = true
 	k.poisoned = true
-	var before, after []*Proc
-	seenSelf := false
+	k.cur = nil
+	var parked []*Proc
 	for p := k.liveHead; p != nil; p = p.nextLive {
-		if p == self {
-			seenSelf = true
-			continue
-		}
 		if p.state == stateWaiting {
-			if seenSelf {
-				after = append(after, p)
-			} else {
-				before = append(before, p)
-			}
+			parked = append(parked, p)
 		}
 	}
-	k.unwindList(before)
-	if self != nil && self.state == stateWaiting {
-		k.unwindRest = after
-	} else {
-		k.unwindList(after)
+	for _, p := range parked {
+		if w := p.w; w != nil && p.state == stateWaiting {
+			p.w = nil
+			w.stop()
+		}
 	}
+	k.stopIdle()
 }
 
-// unwindList unwinds parked procs in order; retirement may edit the
-// live list or wake/retire later entries, so each is re-checked.
-func (k *Kernel) unwindList(ps []*Proc) {
-	for _, p := range ps {
-		if p.state != stateWaiting {
-			continue
-		}
-		if p.isStep && !p.midParked {
-			k.teardownStep(p)
-			continue
-		}
-		p.resume <- struct{}{}
-		<-k.unwound
+// stopIdle ends every idle worker's coroutine.
+func (k *Kernel) stopIdle() {
+	for i, w := range k.idle {
+		w.stop()
+		k.idle[i] = nil
 	}
-}
-
-// finishTeardown completes a teardown that was split around the
-// detecting process: called from that process's retirement (Proc.run's
-// recover or runSteps' recover, just before it releases Run), it
-// unwinds the processes that were spawned after it.
-func (k *Kernel) finishTeardown() {
-	rest := k.unwindRest
-	k.unwindRest = nil
-	k.unwindList(rest)
+	k.idle = k.idle[:0]
 }
 
 // blockedNames lists live processes for deadlock reports,
@@ -745,7 +551,7 @@ func (k *Kernel) blockedNames() []string {
 
 // Dispatched returns the number of events dispatched so far (coalesced
 // holds included).
-func (k *Kernel) Dispatched() int64 { return k.dispatched }
+func (k *Kernel) Dispatched() int64 { return k.stats.Events }
 
 // Seq returns the event sequence counter — the total number of events
 // ever pushed. Checkpoints record it alongside the clock so a restored
@@ -765,5 +571,5 @@ func (k *Kernel) Restore(now Time, seq, dispatched int64) {
 	if now < 0 || seq < 0 || dispatched < 0 {
 		panic("sim: Restore with negative state")
 	}
-	k.now, k.seq, k.dispatched = now, seq, dispatched
+	k.now, k.seq, k.stats.Events = now, seq, dispatched
 }

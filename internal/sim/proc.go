@@ -1,9 +1,12 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // errUnwind is the sentinel panicked through a process body to unwind
-// its goroutine when the process is killed or the kernel tears down
+// its coroutine when the process is killed or the kernel tears down
 // after a fatal error. Deferred functions run as usual; the run wrapper
 // recovers the sentinel and retires the process. Recover-all code in
 // process bodies must re-panic values it does not recognize or it will
@@ -35,26 +38,20 @@ func (s procState) String() string {
 }
 
 // Proc is a simulated process. All its methods must be called only from
-// the goroutine running the process body (the kernel guarantees only one
-// such goroutine is active at a time), except ID, Name and Done which
-// are safe anywhere the kernel is quiescent.
+// the process's own body (the kernel guarantees only one body runs at a
+// time), except ID, Name and Done which are safe anywhere the kernel is
+// quiescent.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	resume chan struct{} // lazily allocated for step procs (first mid-park)
-	state  procState
-	fn     func(p *Proc)
+	k     *Kernel
+	id    int
+	name  string
+	state procState
+	fn    func(p *Proc)
+	w     *worker // coroutine running the body; nil before start and after retirement
 
-	joiners WaitQueue // processes blocked in Join on this one
-	killed  bool      // Kill was called; unwind at the next chance
-
-	// Step-machine execution state (see step.go).
-	isStep    bool     // SpawnStep proc: no goroutine, activations on carriers
-	midParked bool     // parked mid-activation; a carrier goroutine is blocked for it
-	noRecycle bool     // opt out of free-list reuse (Pin, WaitTimeout)
-	step      StepFunc // continuation to run at the next activation
-	deferred  func(*Proc)
+	joiners   WaitQueue // processes blocked in Join on this one
+	killed    bool      // Kill was called; unwind at the next chance
+	noRecycle bool      // opt out of free-list reuse (Pin, WaitTimeout)
 
 	// Pooling safety: refs counts heap events referencing this record;
 	// waitq is the queue the proc is currently enrolled on, if any.
@@ -91,17 +88,17 @@ func (p *Proc) Killed() bool { return p.killed }
 // the clock or block.
 func (p *Proc) Unwinding() bool { return p.killed || p.k.poisoned }
 
-// Kill terminates the process without ending the simulation: its
-// goroutine unwinds (deferred functions run), processes joined on it
-// are woken, and dispatch continues. Killing an already-done or
-// already-killed process is a no-op. Kill must be called from
-// simulation context — a process body or a kernel callback — and is
-// itself instantaneous in virtual time.
+// Kill terminates the process without ending the simulation: its body
+// unwinds (deferred functions run), processes joined on it are woken,
+// and dispatch continues. Killing an already-done or already-killed
+// process is a no-op. Kill must be called from simulation context — a
+// process body or a kernel callback — and is itself instantaneous in
+// virtual time.
 //
 // A process killed while parked is woken at the current time and
 // unwinds instead of resuming; one killed before its first activation
-// is retired without its goroutine ever starting; a process may kill
-// itself, which unwinds immediately (Kill does not return).
+// is retired without its body ever running; a process may kill itself,
+// which unwinds immediately (Kill does not return).
 func (p *Proc) Kill() {
 	if p.state == stateDone || p.killed {
 		return
@@ -124,53 +121,36 @@ func (p *Proc) Kill() {
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// run is the goroutine body wrapper: it executes fn, then — still
-// holding the baton — retires the process and dispatches onward. It is
-// also where every unwind converges: a kill or kernel teardown panics
-// the errUnwind sentinel through the body (running its defers), and
-// the recover here decides whether to keep dispatching (kill), signal
-// the teardown rendezvous (poison), or report a user panic.
+// run executes the body on p's coroutine and retires the process. It
+// is where every unwind converges: a kill or kernel teardown panics the
+// errUnwind sentinel through the body (running its defers), and the
+// recover here retires the process quietly (teardown), reports a user
+// panic as a ProcPanic for dispatch to act on, or — on a normal return
+// or a kill — wakes joiners and recycles the record. No panic ever
+// escapes the coroutine into the dispatch loop.
 func (p *Proc) run() {
 	k := p.k
 	defer func() {
 		r := recover()
-		if r != nil && k.inCall {
-			// The panic came from a kernel-context callback that
-			// happened to be dispatched on this goroutine, not from
-			// p's body. Crash, as the centralized loop would have.
-			panic(r)
-		}
 		p.state = stateDone
 		k.live--
 		k.unlive(p)
 		if k.poisoned {
-			// Kernel teardown: retire quietly and hand control back to
-			// the teardown loop — or release Run directly when this
-			// process is the one that detected the error (its unwind
-			// was deferred past finish; see Kernel.finish).
-			if k.doneSender == p {
-				k.finishTeardown()
-				k.done <- struct{}{}
-			} else {
-				k.unwound <- struct{}{}
-			}
 			return
 		}
 		if r != nil && r != errUnwind {
-			k.finish(&ProcPanic{Proc: p.name, Value: r}, p)
+			k.err = &ProcPanic{Proc: p.name, Value: r}
 			return
 		}
-		// Normal return, or a Kill unwind: wake joiners and pass the
-		// baton on; this goroutine exits. The probe sees the exit
-		// before the joiner wakes so that both the signal edges fired
-		// by the broadcast (cur is still p here) and later
-		// already-done Joins observe p's final position.
+		// The probe sees the exit before the joiner wake so that both
+		// the signal edges fired by the broadcast (cur is still p here)
+		// and later already-done Joins observe p's final position.
 		if k.probe != nil {
 			k.probe.ProcExit(p)
 		}
 		p.joiners.broadcastLocked(k)
 		p.leaveWaitq()
-		k.dispatch(nil, nil)
+		k.maybeRecycle(p)
 	}()
 	p.fn(p)
 }
@@ -181,7 +161,7 @@ func (p *Proc) run() {
 //
 // Coalescing fast path: when no other event is scheduled at or before
 // now+d, the wake this Hold would push is guaranteed to be the next
-// dispatch, so the park → heap → channel round-trip is skipped and the
+// dispatch, so the park → heap → resume round-trip is skipped and the
 // clock advanced in place. Dispatch order is unchanged — the skipped
 // wake had no competitor in the window, and a same-time competitor at
 // exactly now+d forces the slow path (FIFO order says the fresh wake
@@ -195,8 +175,10 @@ func (p *Proc) Hold(d Time) {
 	if p.killed || k.poisoned {
 		panic(errUnwind)
 	}
+	k.stats.Holds++
 	if k.canCoalesce(d) {
-		k.dispatched++
+		k.stats.Events++
+		k.stats.Coalesced++
 		k.now += d
 		return
 	}
@@ -212,40 +194,18 @@ func (p *Proc) Hold(d Time) {
 // only when doing so is provably order- and observation-preserving.
 func (p *Proc) CanCoalesce(d Time) bool { return p.k.canCoalesce(d) }
 
-// park gives up the baton: the parking goroutine runs the dispatch loop
-// itself and hands control directly to the next runnable process. If
-// the loop finds that the next runnable process is p (every intervening
-// event was a timer callback), park returns without touching a channel;
-// otherwise it blocks until some later baton holder dispatches p's
-// wake and resumes it. A resume that arrives because p was killed, or
-// because the kernel is tearing down after an error, unwinds the
-// goroutine instead of returning.
-//
-// A step proc reaching park is blocking in the middle of an
-// activation: the carrier running it temporarily becomes its goroutine
-// (midParked), parking and resuming exactly as a Spawn proc's
-// goroutine would, so mid-activation blocking is order-identical to
-// goroutine-mode blocking.
+// park yields p's coroutine to the dispatch loop, which resumes it when
+// some event wakes p. A park that returns because p was killed, or
+// because the kernel is tearing down after an error (which stops the
+// coroutine, so the yield returns false), unwinds the body instead of
+// returning.
 func (p *Proc) park() {
 	if p.killed || p.k.poisoned {
 		panic(errUnwind)
 	}
-	if p.isStep {
-		p.midParked = true
-		if p.resume == nil {
-			p.resume = make(chan struct{})
-		}
-	}
 	p.state = stateWaiting
-	switch p.k.dispatch(p, nil) {
-	case batonSelf:
-	case batonDead:
-		panic(errUnwind)
-	default:
-		<-p.resume
-	}
-	p.midParked = false
-	if p.killed || p.k.poisoned {
+	p.k.stats.Parks++
+	if !p.w.yield(struct{}{}) || p.killed || p.k.poisoned {
 		panic(errUnwind)
 	}
 }
@@ -267,3 +227,96 @@ func (p *Proc) Join(other *Proc) {
 
 // Yield gives other same-time events a chance to run before p continues.
 func (p *Proc) Yield() { p.Hold(0) }
+
+// Pin opts the proc's record out of free-list reuse: its *Proc stays
+// valid (state queryable, joinable, killable) after the proc finishes.
+// Callers that retain handles past retirement must Pin them.
+func (p *Proc) Pin() { p.noRecycle = true }
+
+// leaveWaitq removes p from the wait queue it is enrolled on, if any —
+// part of retirement, so a recycled record can never be signaled by a
+// queue its previous incarnation waited on.
+func (p *Proc) leaveWaitq() {
+	if q := p.waitq; q != nil {
+		q.remove(p)
+		p.waitq = nil
+	}
+}
+
+// takeProc returns a Proc record for a new spawn, reusing a recycled
+// one when available. A recycled record keeps its joiner-queue capacity
+// and is reset only here, so a retired handle stays readable until a
+// later spawn actually reuses it.
+func (k *Kernel) takeProc() *Proc {
+	var p *Proc
+	if n := len(k.freeProcs); n > 0 {
+		p = k.freeProcs[n-1]
+		k.freeProcs[n-1] = nil
+		k.freeProcs = k.freeProcs[:n-1]
+		p.killed = false
+		p.Ctx = nil
+	} else {
+		p = &Proc{k: k}
+	}
+	p.id = k.nextID
+	k.nextID++
+	p.state = stateNew
+	return p
+}
+
+// maybeRecycle returns a retired proc's record to the free list when
+// nothing can reach it anymore: no heap event references it (refs), so
+// a stale wake can never land on a reincarnated record; it sits on no
+// wait queue, so an old queue can never signal a new incarnation; and
+// nothing opted it out of reuse (Pin, WaitTimeout). A dead kernel
+// recycles nothing.
+func (k *Kernel) maybeRecycle(p *Proc) {
+	if p.noRecycle || p.refs != 0 || p.waitq != nil || k.poisoned || k.stopped {
+		return
+	}
+	p.fn = nil
+	k.freeProcs = append(k.freeProcs, p)
+}
+
+// worker is a pooled coroutine that runs process bodies, one at a time.
+// The dispatch loop binds a starting process to an idle worker and
+// switches to it with next; the body parks with yield. When the body
+// finishes, the worker yields once more and waits, idle, for the next
+// process — so spawn→exit churn reuses coroutines instead of starting
+// a goroutine per process. stop ends the coroutine: a parked body
+// unwinds first (see Proc.park).
+type worker struct {
+	p     *Proc
+	yield func(struct{}) bool
+	next  func() (struct{}, bool)
+	stop  func()
+}
+
+// takeWorker returns an idle worker, starting a new coroutine when the
+// pool is empty.
+func (k *Kernel) takeWorker() *worker {
+	if n := len(k.idle); n > 0 {
+		w := k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+		return w
+	}
+	w := &worker{}
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// loop is the worker's coroutine body: run the bound process to
+// retirement, then yield as idle until the dispatch loop binds another
+// one. A kernel teardown, or stop while idle, ends it.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		p := w.p
+		w.p = nil
+		p.run()
+		if p.k.poisoned || !yield(struct{}{}) {
+			return
+		}
+	}
+}

@@ -53,29 +53,21 @@ func TestRunUntilPausesAndResumes(t *testing.T) {
 	}
 }
 
-// TestRunUntilPausesAndResumesStepProcs is the step-mode twin of the
-// test above, and a regression test for a carrier leak: when a carrier
-// holds the baton at the pause, it is enqueued on the idle pool and
-// must park on its channel rather than exit — an exiting carrier left
-// in the pool strands the proc a later window hands to it, hanging
-// RunUntil forever.
+// TestRunUntilPausesAndResumesStepProcs: coroutines survive a pause.
+// A process parked at the horizon stays suspended until a later
+// window resumes it, and a worker that went idle in one window is
+// reused by a spawn in the next rather than leaked or restarted. (The
+// name predates the coroutine kernel; it once covered stackless step
+// processes on carrier goroutines across windows.)
 func TestRunUntilPausesAndResumesStepProcs(t *testing.T) {
 	k := NewKernel()
 	var ticks []Time
-	var stepFn StepFunc
-	n := 0
-	stepFn = func(p *Proc) StepFunc {
-		if n > 0 {
-			ticks = append(ticks, p.Now())
+	k.Spawn("spawner", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Hold(10)
+			p.Join(k.Spawn("child", func(c *Proc) { ticks = append(ticks, c.Now()) }))
 		}
-		if n++; n > 3 {
-			return nil
-		}
-		p.StepHold(10)
-		return stepFn
-	}
-	k.SpawnStep("holder", stepFn)
-
+	})
 	for i, horizon := range []Time{15, 25} {
 		done, err := k.RunUntil(horizon)
 		if done || err != nil {
@@ -84,6 +76,9 @@ func TestRunUntilPausesAndResumesStepProcs(t *testing.T) {
 		if len(ticks) != i+1 {
 			t.Fatalf("after window %d ticks = %v", i, ticks)
 		}
+		if len(k.idle) != 1 {
+			t.Fatalf("after window %d: %d idle workers, want the child's 1", i, len(k.idle))
+		}
 	}
 	done, err := k.RunUntil(Infinity)
 	if !done || err != nil {
@@ -91,6 +86,11 @@ func TestRunUntilPausesAndResumesStepProcs(t *testing.T) {
 	}
 	if want := []Time{10, 20, 30}; !reflect.DeepEqual(ticks, want) {
 		t.Fatalf("final ticks = %v, want %v", ticks, want)
+	}
+	// Spawner start, 3 child starts, 3 join wakes, and the 2 holds
+	// that could not coalesce across a horizon.
+	if st := k.Stats(); st.Resumes != 9 {
+		t.Fatalf("resumes = %d, want 9", st.Resumes)
 	}
 }
 
@@ -190,8 +190,8 @@ func TestShardGroupDeadlock(t *testing.T) {
 }
 
 // TestShardGroupErrorTeardown: a panic on one shard aborts the others;
-// parked procs and boundary-parked step procs on surviving shards
-// unwind through their finalizers exactly as a sequential error run
+// procs parked on surviving shards — on a queue or in a hold — unwind
+// through their deferred functions exactly as a sequential error run
 // unwinds them.
 func TestShardGroupErrorTeardown(t *testing.T) {
 	sg := NewShardGroup(3, 5)
@@ -201,12 +201,9 @@ func TestShardGroupErrorTeardown(t *testing.T) {
 		defer func() { unwound++ }()
 		q.Wait(p)
 	})
-	sg.Shard(2).SpawnStep("stepper", func(p *Proc) StepFunc {
-		p.Defer(func(*Proc) { unwound++ })
-		if p.StepHold(1000) {
-			return nil
-		}
-		return func(*Proc) StepFunc { return nil }
+	sg.Shard(2).Spawn("holder", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Hold(1000)
 	})
 	sg.Shard(1).Spawn("bomb", func(p *Proc) {
 		p.Hold(3)
@@ -218,7 +215,7 @@ func TestShardGroupErrorTeardown(t *testing.T) {
 		t.Fatalf("Run = %v, want ProcPanic from bomb", err)
 	}
 	if unwound != 2 {
-		t.Fatalf("%d finalizers ran on surviving shards, want 2", unwound)
+		t.Fatalf("%d deferred functions ran on surviving shards, want 2", unwound)
 	}
 	// All shards are dead now.
 	if _, err := sg.Shard(0).RunUntil(Infinity); err != ErrStopped {
@@ -251,12 +248,11 @@ type shardPlan struct {
 }
 
 type planRound struct {
-	hold   Time
-	send   bool
-	dst    int  // global proc index on another chip
-	off    Time // arrival offset beyond lookahead
-	val    int64
-	isStep bool // spawn mode of the proc (same for all its rounds)
+	hold Time
+	send bool
+	dst  int  // global proc index on another chip
+	off  Time // arrival offset beyond lookahead
+	val  int64
 }
 
 func makeShardPlan(rng *rand.Rand, lookahead Time) shardPlan {
@@ -267,11 +263,10 @@ func makeShardPlan(rng *rand.Rand, lookahead Time) shardPlan {
 	n := pl.chips * pl.procs
 	pl.rounds = make([][]planRound, n)
 	for i := range pl.rounds {
-		isStep := rng.Intn(2) == 0
 		r := 3 + rng.Intn(6)
 		pl.rounds[i] = make([]planRound, r)
 		for j := range pl.rounds[i] {
-			pr := planRound{hold: Time(rng.Intn(9)), isStep: isStep}
+			pr := planRound{hold: Time(rng.Intn(9))}
 			if rng.Intn(3) != 0 {
 				for {
 					pr.dst = rng.Intn(n)
@@ -366,14 +361,7 @@ func runPlan(t *testing.T, pl shardPlan, nShards, workers int) planDigest {
 			}
 			dig.End[gi] = p.Now()
 		}
-		name := fmt.Sprintf("p%d", gi)
-		if pl.rounds[gi][0].isStep {
-			// One mid-parking mega-activation: exercises carriers and
-			// their pause/resume interplay across windows.
-			kernelOf(gi).SpawnStep(name, func(p *Proc) StepFunc { body(p); return nil })
-		} else {
-			kernelOf(gi).Spawn(name, body)
-		}
+		kernelOf(gi).Spawn(fmt.Sprintf("p%d", gi), body)
 	}
 
 	var err error

@@ -10,73 +10,60 @@ import (
 	"testing/quick"
 )
 
-// stepExit is a minimal step body: finish on the first activation.
-func stepExit(p *Proc) StepFunc { return nil }
+// The tests in this file were written for the kernel's former
+// step-machine execution mode (stackless processes on pooled carrier
+// goroutines). Its coroutine replacement gives every process the
+// properties that mode existed for — Proc records recycled through a
+// free list, spawn→exit churn with no allocation and no new goroutine,
+// finished processes costing nothing — so each test keeps its name and
+// now pins the same property, or the same kill and teardown semantics,
+// for coroutine processes.
 
-// TestStepHoldAndChain: a step proc's continuations chain through
-// holds, coalescing when it owns the clock and boundary-parking when a
-// competing event exists, with the same observable times as Hold.
+// TestStepHoldAndChain: a process's holds coalesce when it owns the
+// clock and park when a competing event exists, with identical
+// observable times either way.
 func TestStepHoldAndChain(t *testing.T) {
 	k := NewKernel()
 	var at []Time
+	var parks []int64
 	k.Schedule(5, func() {}) // competitor: forces the first hold to park
-	var second StepFunc
-	second = func(p *Proc) StepFunc {
+	k.Spawn("s", func(p *Proc) {
 		at = append(at, p.Now())
-		if p.StepHold(7) { // heap empty now: must coalesce
-			at = append(at, p.Now())
-			return nil
-		}
-		t.Error("uncontested StepHold did not coalesce")
-		return second
-	}
-	k.SpawnStep("s", func(p *Proc) StepFunc {
+		p.Hold(10)
 		at = append(at, p.Now())
-		if p.StepHold(10) {
-			t.Error("contested StepHold coalesced")
-		}
-		return second
+		parks = append(parks, k.Stats().Parks)
+		p.Hold(7) // heap empty now: must coalesce
+		at = append(at, p.Now())
+		parks = append(parks, k.Stats().Parks)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []Time{0, 10, 17}
-	if len(at) != len(want) {
-		t.Fatalf("times = %v, want %v", at, want)
+	if fmt.Sprint(at) != "[0 10 17]" {
+		t.Fatalf("times = %v, want [0 10 17]", at)
 	}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Fatalf("times = %v, want %v", at, want)
-		}
+	if fmt.Sprint(parks) != "[1 1]" {
+		t.Fatalf("park counts = %v, want [1 1] (contested hold parks, uncontested coalesces)", parks)
 	}
 }
 
-// TestStepJoin covers both join flavors: an already-done target
-// continues inline; a live target parks the joiner until it retires.
+// TestStepJoin covers both join flavors: a live target parks the
+// joiner until it retires; an already-done target returns inline
+// without parking.
 func TestStepJoin(t *testing.T) {
 	k := NewKernel()
 	var joinedLive, joinedDone Time = -1, -1
-	child := k.SpawnStep("child", func(p *Proc) StepFunc {
-		if !p.StepHold(4) {
-			return func(p *Proc) StepFunc { return nil }
-		}
-		return nil
-	})
+	child := k.Spawn("child", func(p *Proc) { p.Hold(4) })
 	child.Pin()
-	k.SpawnStep("joiner", func(p *Proc) StepFunc {
-		if p.StepJoin(child) {
-			t.Error("join on live child reported done")
-			return nil
+	k.Spawn("joiner", func(p *Proc) {
+		p.Join(child)
+		joinedLive = p.Now()
+		before := k.Stats().Parks
+		p.Join(child)
+		if k.Stats().Parks != before {
+			t.Error("join on done child parked")
 		}
-		return func(p *Proc) StepFunc {
-			joinedLive = p.Now()
-			if !p.StepJoin(child) {
-				t.Error("join on done child parked")
-				return nil
-			}
-			joinedDone = p.Now()
-			return nil
-		}
+		joinedDone = p.Now()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -86,10 +73,8 @@ func TestStepJoin(t *testing.T) {
 	}
 }
 
-// TestStepMidActivationPark: a step activation may call the blocking
-// primitives (semaphores, Hold) mid-activation; the carrier becomes
-// its goroutine for the park and the interleaving matches goroutine
-// procs exactly.
+// TestStepMidActivationPark: a body may block in any primitive at any
+// point; the interleaving follows virtual time exactly.
 func TestStepMidActivationPark(t *testing.T) {
 	k := NewKernel()
 	sem := NewSemaphore(k, 0)
@@ -99,12 +84,11 @@ func TestStepMidActivationPark(t *testing.T) {
 		order = append(order, fmt.Sprintf("g release at %d", p.Now()))
 		sem.Release()
 	})
-	k.SpawnStep("s", func(p *Proc) StepFunc {
-		sem.Acquire(p) // parks mid-activation until t=3
+	k.Spawn("s", func(p *Proc) {
+		sem.Acquire(p) // parks until t=3
 		order = append(order, fmt.Sprintf("s acquired at %d", p.Now()))
-		p.Hold(2) // mid-activation hold (coalesces)
+		p.Hold(2) // coalesces
 		order = append(order, fmt.Sprintf("s held at %d", p.Now()))
-		return nil
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -115,68 +99,44 @@ func TestStepMidActivationPark(t *testing.T) {
 	}
 }
 
-// TestStepBarrierAwait: mixed goroutine and step parties on one
-// barrier; the tripper continues inline in both modes.
+// TestStepBarrierAwait: the tripping arrival continues inline; earlier
+// arrivals are released in FIFO order at the trip time.
 func TestStepBarrierAwait(t *testing.T) {
 	k := NewKernel()
 	bar := NewBarrier(k, 3)
 	var events []string
-	k.Spawn("g", func(p *Proc) {
-		p.Hold(2)
-		if bar.Await(p) {
-			t.Error("early arriver tripped")
-		}
-		events = append(events, fmt.Sprintf("g at %d", p.Now()))
-	})
-	if err := runStepBarrierProgram(k, bar, &events); err != nil {
+	await := func(name string, hold Time) {
+		k.Spawn(name, func(p *Proc) {
+			p.Hold(hold)
+			if bar.Await(p) {
+				events = append(events, fmt.Sprintf("%s tripped at %d", name, p.Now()))
+			} else {
+				events = append(events, fmt.Sprintf("%s at %d", name, p.Now()))
+			}
+		})
+	}
+	await("s1", 0)
+	await("g", 2)
+	await("s2", 5)
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := "[s2 tripped at 5 s1 at 5 g at 5]" // FIFO: s1 enrolled at t=0, g waited at t=2
+	want := "[s2 tripped at 5 s1 at 5 g at 5]" // FIFO: s1 waited at t=0, g at t=2
 	if fmt.Sprint(events) != want {
 		t.Fatalf("events = %v, want %s", events, want)
 	}
 }
 
-func runStepBarrierProgram(k *Kernel, bar *Barrier, events *[]string) error {
-	k.SpawnStep("s1", func(p *Proc) StepFunc {
-		if !bar.StepAwait(p) {
-			return func(p *Proc) StepFunc {
-				*events = append(*events, fmt.Sprintf("s1 at %d", p.Now()))
-				return nil
-			}
-		}
-		return nil
-	})
-	k.SpawnStep("s2", func(p *Proc) StepFunc {
-		if !p.StepHold(5) {
-			return func(p *Proc) StepFunc {
-				if bar.StepAwait(p) {
-					*events = append(*events, fmt.Sprintf("s2 tripped at %d", p.Now()))
-				}
-				return nil
-			}
-		}
-		return nil
-	})
-	return k.Run()
-}
-
-// TestStepDefer: the registered finalizer is the analog of a body
-// defer — it runs exactly once at retirement, after the final
-// continuation and before joiners resume.
+// TestStepDefer: a body's deferred function runs exactly once at
+// retirement, after the body and before joiners resume.
 func TestStepDefer(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	c := k.SpawnStep("c", func(p *Proc) StepFunc {
-		if !p.StepHold(3) {
-			return func(p *Proc) StepFunc {
-				order = append(order, "body done")
-				return nil
-			}
-		}
-		return nil
+	c := k.Spawn("c", func(p *Proc) {
+		defer func() { order = append(order, fmt.Sprintf("defer at %d killed=%v", p.Now(), p.Killed())) }()
+		p.Hold(3)
+		order = append(order, "body done")
 	})
-	c.Defer(func(p *Proc) { order = append(order, fmt.Sprintf("finalizer at %d killed=%v", p.Now(), p.Killed())) })
 	k.Spawn("j", func(p *Proc) {
 		p.Join(c)
 		order = append(order, "joiner resumed")
@@ -184,28 +144,25 @@ func TestStepDefer(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := "[body done finalizer at 3 killed=false joiner resumed]"
+	want := "[body done defer at 3 killed=false joiner resumed]"
 	if fmt.Sprint(order) != want {
 		t.Fatalf("order = %v, want %s", order, want)
 	}
 }
 
-// TestStepKillWaiting mirrors TestKillWaitingProc for a boundary-parked
-// step proc: the kill runs the finalizer (with Killed observable),
-// wakes joiners at the kill time, and the run completes normally.
+// TestStepKillWaiting: killing a process parked on a queue runs its
+// defers (with Killed observable), wakes joiners at the kill time,
+// removes it from the queue, and lets the run complete normally.
 func TestStepKillWaiting(t *testing.T) {
 	k := NewKernel()
 	q := &WaitQueue{}
 	deferRan := false
-	victim := k.SpawnStep("victim", func(p *Proc) StepFunc {
-		q.Enroll(p)
-		return func(p *Proc) StepFunc {
-			t.Error("victim resumed past its kill point")
-			return nil
-		}
+	victim := k.Spawn("victim", func(p *Proc) {
+		defer func() { deferRan = p.Killed() }()
+		q.Wait(p)
+		t.Error("victim resumed past its kill point")
 	})
 	victim.Pin()
-	victim.Defer(func(p *Proc) { deferRan = p.Killed() })
 	joined := Time(-1)
 	k.Spawn("watcher", func(p *Proc) {
 		p.Hold(10)
@@ -217,7 +174,7 @@ func TestStepKillWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !deferRan {
-		t.Fatal("victim's finalizer did not run (or saw Killed=false)")
+		t.Fatal("victim's defer did not run (or saw Killed=false)")
 	}
 	if !victim.Done() || !victim.Killed() {
 		t.Fatal("victim not retired as killed")
@@ -226,19 +183,20 @@ func TestStepKillWaiting(t *testing.T) {
 		t.Fatalf("join completed at t=%d, want 10", joined)
 	}
 	if q.Len() != 0 {
-		t.Fatalf("victim still enrolled after retirement (len=%d)", q.Len())
+		t.Fatalf("victim still queued after retirement (len=%d)", q.Len())
 	}
 }
 
-// TestStepKillNew: killed before first activation, the body and the
-// finalizer never run — matching a never-started goroutine body whose
-// defers never existed.
+// TestStepKillNew: killed before its first activation, a process's
+// body never runs and no coroutine is ever resumed for it.
 func TestStepKillNew(t *testing.T) {
 	k := NewKernel()
-	ran, finalized := false, false
-	victim := k.SpawnStep("victim", func(p *Proc) StepFunc { ran = true; return nil })
+	ran := false
+	victim := k.Spawn("victim", func(p *Proc) {
+		defer func() { ran = true }()
+		ran = true
+	})
 	victim.Pin()
-	victim.Defer(func(p *Proc) { finalized = true })
 	victim.Kill()
 	joinedEarly := false
 	k.Spawn("joiner", func(p *Proc) {
@@ -248,66 +206,68 @@ func TestStepKillNew(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ran || finalized {
-		t.Fatalf("killed-before-start ran=%v finalized=%v, want false,false", ran, finalized)
+	if ran {
+		t.Fatal("killed-before-start body ran")
 	}
 	if !victim.Done() || !joinedEarly {
 		t.Fatalf("victim done=%v joinedEarly=%v, want true,true", victim.Done(), joinedEarly)
 	}
+	if r := k.Stats().Resumes; r != 1 {
+		t.Fatalf("%d coroutine resumes, want 1 (the joiner's start only)", r)
+	}
 }
 
-// TestStepKillSelf: a step activation may kill its own proc; the
-// finalizer runs and the carrier dispatches on.
+// TestStepKillSelf: a process may kill itself; its defers run, its
+// worker returns to the pool, and dispatch continues.
 func TestStepKillSelf(t *testing.T) {
 	k := NewKernel()
-	finalized := false
-	k.SpawnStep("suicidal", func(p *Proc) StepFunc {
-		if !p.StepHold(4) {
-			return func(p *Proc) StepFunc {
-				p.Kill()
-				t.Error("Kill returned on self-kill")
-				return nil
-			}
+	deferRan := false
+	k.Spawn("suicidal", func(p *Proc) {
+		defer func() { deferRan = true }()
+		p.Hold(4)
+		p.Kill()
+		t.Error("Kill returned on self-kill")
+	})
+	k.Spawn("bystander", func(p *Proc) {
+		p.Hold(9)
+		// The suicidal proc's worker is back on the pool.
+		if w := len(k.idle); w != 1 {
+			t.Errorf("%d idle workers after the self-kill, want 1", w)
 		}
-		return nil
-	}).Defer(func(p *Proc) { finalized = true })
-	k.Spawn("bystander", func(p *Proc) { p.Hold(9) })
+	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !finalized || k.Now() != 9 {
-		t.Fatalf("finalized=%v now=%d, want true,9", finalized, k.Now())
+	if !deferRan || k.Now() != 9 {
+		t.Fatalf("deferRan=%v now=%d, want true,9", deferRan, k.Now())
 	}
 }
 
-// TestStepDeadlockTeardown: an error-terminated Run retires
-// boundary-parked step procs in place — finalizers observe
-// Unwinding(), the live list empties, and no carrier goroutine leaks.
+// TestStepDeadlockTeardown: an error-terminated Run unwinds every
+// parked process — defers observe Unwinding(), the live list empties,
+// and no coroutine goroutine leaks.
 func TestStepDeadlockTeardown(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()
 	q := &WaitQueue{}
-	finals := 0
+	unwound := 0
 	for i := 0; i < 8; i++ {
-		p := k.SpawnStep(fmt.Sprintf("stuck%d", i), func(p *Proc) StepFunc {
-			q.Enroll(p)
-			return func(p *Proc) StepFunc {
-				t.Error("torn-down step proc resumed")
-				return nil
-			}
-		})
-		p.Defer(func(p *Proc) {
-			if p.Unwinding() {
-				finals++
-			}
+		k.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
+			defer func() {
+				if p.Unwinding() {
+					unwound++
+				}
+			}()
+			q.Wait(p)
+			t.Error("torn-down proc resumed")
 		})
 	}
 	var dead *ErrDeadlock
 	if err := k.Run(); !errors.As(err, &dead) {
 		t.Fatalf("Run = %v, want ErrDeadlock", err)
 	}
-	if finals != 8 {
-		t.Fatalf("finalizers ran on %d of 8 torn-down procs", finals)
+	if unwound != 8 {
+		t.Fatalf("defers observed Unwinding on %d of 8 torn-down procs", unwound)
 	}
 	if live := k.Procs(); len(live) != 0 {
 		t.Fatalf("%d procs still live after teardown, want 0", len(live))
@@ -315,22 +275,17 @@ func TestStepDeadlockTeardown(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestStepPanicTeardown: a panic inside a step activation surfaces as
-// ProcPanic and unwinds everything, including mid-parked step procs
-// (whose carriers must exit) and parked goroutine procs.
+// TestStepPanicTeardown: a panic in a body surfaces as ProcPanic and
+// unwinds everything else — a proc parked in a hold and one parked on
+// a semaphore — without leaking their coroutines.
 func TestStepPanicTeardown(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()
 	sem := NewSemaphore(k, 0)
-	k.Spawn("heldg", func(p *Proc) { p.Hold(1000) })
-	k.SpawnStep("midparked", func(p *Proc) StepFunc {
-		sem.Acquire(p) // never released: carrier stays parked until teardown
-		return nil
-	})
-	k.SpawnStep("bomb", func(p *Proc) StepFunc {
-		if !p.StepHold(5) {
-			return func(p *Proc) StepFunc { panic("boom") }
-		}
+	k.Spawn("held", func(p *Proc) { p.Hold(1000) })
+	k.Spawn("parked", func(p *Proc) { sem.Acquire(p) }) // never released
+	k.Spawn("bomb", func(p *Proc) {
+		p.Hold(5)
 		panic("boom")
 	})
 	var pp *ProcPanic
@@ -340,51 +295,52 @@ func TestStepPanicTeardown(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestStepNoGoroutinePerProc is the scaling property itself: thousands
-// of boundary-parked step procs add no goroutines.
+// TestStepNoGoroutinePerProc is the scaling property: a finished
+// process keeps no goroutine. A thousand spawn→exit cycles run every
+// child on the same pooled coroutine, so the goroutine count tracks
+// live processes, not processes ever spawned.
 func TestStepNoGoroutinePerProc(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()
-	const n = 4096
-	for i := 0; i < n; i++ {
-		k.SpawnStep("w", func(p *Proc) StepFunc {
-			if !p.StepHold(1) {
-				return stepExit
-			}
-			return nil
-		})
-	}
-	k.Spawn("watcher", func(p *Proc) {
-		// All n procs are boundary-parked at their wakes now; at most a
-		// handful of goroutines (this one, Run's, one carrier) exist.
-		if g := runtime.NumGoroutine(); g > base+8 {
-			t.Errorf("%d goroutines with %d parked step procs (base %d)", g, n, base)
+	const n = 1000
+	k.Spawn("driver", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Join(k.Spawn("child", benchChild))
+		}
+		// The driver's coroutine and one pooled worker.
+		if g := runtime.NumGoroutine(); g > base+2 {
+			t.Errorf("%d goroutines after %d spawns (base %d)", g, n, base)
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// Per child: its start and the driver's join wake (the child's
+	// hold coalesces: nothing else is queued); plus the driver's start.
+	if st := k.Stats(); st.Resumes != 2*n+1 || st.Coalesced != n {
+		t.Errorf("stats = %+v, want %d resumes and %d coalesced holds", st, 2*n+1, n)
+	}
 	waitGoroutines(t, base)
 }
 
-// TestStepProcRecycling: records of finished step procs are reused;
-// Pin opts out; a record with a stale wake in the heap is not reused
-// until the wake drains.
+// TestStepProcRecycling: records of finished procs are reused; Pin
+// opts out; a record with a stale wake in the heap is not reused until
+// the wake drains.
 func TestStepProcRecycling(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("driver", func(p *Proc) {
-		a := k.SpawnStep("a", stepExit)
+		a := k.Spawn("a", benchExit)
 		p.Join(a)
-		b := k.SpawnStep("b", stepExit)
+		b := k.Spawn("b", benchExit)
 		p.Join(b)
 		if a != b {
 			t.Error("retired record was not recycled into the next spawn")
 		}
 
-		pinned := k.SpawnStep("pinned", stepExit)
+		pinned := k.Spawn("pinned", benchExit)
 		pinned.Pin()
 		p.Join(pinned)
-		c := k.SpawnStep("c", stepExit)
+		c := k.Spawn("c", benchExit)
 		p.Join(c)
 		if c == pinned {
 			t.Error("pinned record was recycled")
@@ -396,22 +352,17 @@ func TestStepProcRecycling(t *testing.T) {
 		// Stale-wake safety: kill a proc parked on a long hold. Its
 		// retirement leaves the hold's wake in the heap, so the record
 		// must not be reused until that wake drains at t+100.
-		victim := k.SpawnStep("victim", func(p *Proc) StepFunc {
-			if !p.StepHold(100) {
-				return stepExit
-			}
-			return nil
-		})
+		victim := k.Spawn("victim", func(p *Proc) { p.Hold(100) })
 		p.Yield() // let victim park
 		victim.Kill()
 		p.Yield() // poison wake retires victim; stale wake remains
-		early := k.SpawnStep("early", stepExit)
+		early := k.Spawn("early", benchExit)
 		if early == victim {
 			t.Error("record reused while a stale wake still referenced it")
 		}
 		p.Join(early)
 		p.Hold(200) // stale wake drains at +100, freeing the record
-		late := k.SpawnStep("late", stepExit)
+		late := k.Spawn("late", benchExit)
 		if late != victim {
 			t.Error("record not reused after its stale wake drained")
 		}
@@ -422,24 +373,20 @@ func TestStepProcRecycling(t *testing.T) {
 	}
 }
 
-// TestStepRunAfterSuccess: step procs work across repeated Runs on one
-// kernel, carriers respawning on demand.
+// TestStepRunAfterSuccess: processes work across repeated Runs on one
+// kernel; a completed Run drains the worker pool and the next one
+// starts coroutines on demand.
 func TestStepRunAfterSuccess(t *testing.T) {
 	k := NewKernel()
-	k.SpawnStep("a", func(p *Proc) StepFunc {
-		if !p.StepHold(5) {
-			return stepExit
-		}
-		return nil
-	})
+	k.Spawn("a", func(p *Proc) { p.Hold(5) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if len(k.idle) != 0 {
+		t.Fatalf("%d idle workers outlive Run", len(k.idle))
+	}
 	ran := false
-	k.SpawnStep("b", func(p *Proc) StepFunc {
-		ran = true
-		return nil
-	})
+	k.Spawn("b", func(p *Proc) { ran = true })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -449,10 +396,10 @@ func TestStepRunAfterSuccess(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Step-vs-goroutine observational equivalence fuzz (the step-mode
-// analog of TestFastPathObservationalEquivalence): the same random
-// program built once with Spawn/Hold/Join/Await and once with
-// SpawnStep/StepHold/StepJoin/StepAwait must produce bit-equal traces.
+// Recycling equivalence: pooled Proc records and coroutine workers may
+// only save allocation, never change an observable. The same random
+// program is built once with recycling (the default) and once with
+// every record pinned, and the traces must be bit-equal.
 
 type equivOpKind uint8
 
@@ -494,93 +441,50 @@ func genEquivProgram(seed int64) (nProcs int, prog [][]equivOp) {
 	return nProcs, prog
 }
 
-func buildEquivProgram(seed int64, steps bool) []string {
+// spawnFor returns a Spawn that pins every record when pin is set, so
+// nothing is ever recycled.
+func spawnFor(k *Kernel, pin bool) func(string, func(*Proc)) *Proc {
+	return func(name string, fn func(*Proc)) *Proc {
+		p := k.Spawn(name, fn)
+		if pin {
+			p.Pin()
+		}
+		return p
+	}
+}
+
+func buildEquivProgram(seed int64, pin bool) []string {
 	nProcs, prog := genEquivProgram(seed)
 	k := NewKernel()
 	k.MaxEvents = 200_000
+	spawn := spawnFor(k, pin)
 	var trace []string
 	logf := func(format string, args ...any) {
 		trace = append(trace, fmt.Sprintf(format, args...))
 	}
 	bar := NewBarrier(k, nProcs)
 	for i := 0; i < nProcs; i++ {
-		i := i
 		ops := prog[i]
-		logOp := func(j int, p *Proc) {
-			switch ops[j].kind {
-			case opHold:
-				logf("p%d hold %d at %d", i, j, p.Now())
-			case opChild:
-				logf("p%d joined %d at %d", i, j, p.Now())
-			case opBarrier:
-				logf("p%d barrier %d at %d", i, j, p.Now())
-			}
-		}
 		childName := fmt.Sprintf("p%d/c", i)
-		logChild := func(p *Proc) { logf("p%d child at %d", i, p.Now()) }
-		if !steps {
-			k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for j, o := range ops {
-					switch o.kind {
-					case opHold:
-						p.Hold(o.d)
-					case opChild:
-						c := k.Spawn(childName, func(c *Proc) {
-							c.Hold(3)
-							logChild(c)
-						})
-						p.Join(c)
-					case opBarrier:
-						bar.Await(p)
-					}
-					logOp(j, p)
-				}
-			})
-			continue
-		}
-		j := 0
-		logPending := -1
-		var drive StepFunc
-		drive = func(p *Proc) StepFunc {
-			if logPending >= 0 {
-				logOp(logPending, p)
-				logPending = -1
-			}
-			for j < len(ops) {
-				cur := j
-				j++
-				switch ops[cur].kind {
+		spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for j, o := range ops {
+				switch o.kind {
 				case opHold:
-					if !p.StepHold(ops[cur].d) {
-						logPending = cur
-						return drive
-					}
+					p.Hold(o.d)
+					logf("p%d hold %d at %d", i, j, p.Now())
 				case opChild:
-					c := k.SpawnStep(childName, func(c *Proc) StepFunc {
-						if !c.StepHold(3) {
-							return func(c *Proc) StepFunc {
-								logChild(c)
-								return nil
-							}
-						}
-						logChild(c)
-						return nil
+					c := spawn(childName, func(c *Proc) {
+						c.Hold(3)
+						logf("p%d child id=%d at %d", i, c.ID(), c.Now())
 					})
-					if !p.StepJoin(c) {
-						logPending = cur
-						return drive
-					}
+					p.Join(c)
+					logf("p%d joined %d at %d", i, j, p.Now())
 				case opBarrier:
-					if !bar.StepAwait(p) {
-						logPending = cur
-						return drive
-					}
+					bar.Await(p)
+					logf("p%d barrier %d at %d", i, j, p.Now())
 				}
-				logOp(cur, p)
 			}
-			return nil
-		}
-		k.SpawnStep(fmt.Sprintf("p%d", i), drive)
+		})
 	}
 	if err := k.Run(); err != nil {
 		trace = append(trace, "ERR "+err.Error())
@@ -588,36 +492,29 @@ func buildEquivProgram(seed int64, steps bool) []string {
 	return trace
 }
 
-// TestStepObservationalEquivalence: step mode may only elide stacks,
-// never reorder or retime anything observable.
+// TestStepObservationalEquivalence: recycling may only elide
+// allocation, never reorder or retime anything observable.
 func TestStepObservationalEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
-		goro := buildEquivProgram(seed, false)
-		step := buildEquivProgram(seed, true)
-		if len(goro) != len(step) {
-			return false
-		}
-		for i := range goro {
-			if goro[i] != step[i] {
-				return false
-			}
-		}
-		return len(goro) > 0
+		pooled := buildEquivProgram(seed, false)
+		pinned := buildEquivProgram(seed, true)
+		return len(pooled) > 0 && strings.Join(pooled, "\n") == strings.Join(pinned, "\n")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// buildStepKillProgram mirrors buildKillProgram with step procs:
-// semaphore legs park mid-activation (the carrier-as-goroutine path),
-// bare holds park at boundaries, finalizers replace body defers, and a
-// controller kills random procs at random times. Traces must match the
-// goroutine build bit-for-bit, error outcomes included.
-func buildStepKillProgram(seed int64, steps bool) []string {
+// buildChurnKillProgram extends buildKillProgram with churn: between
+// steps a proc may spawn and join a short-lived child, so records and
+// workers recycle while a controller kills random top-level procs at
+// random times. The top-level handles are always pinned (the kill
+// closures retain them); pin additionally pins every child.
+func buildChurnKillProgram(seed int64, pin bool) []string {
 	rng := rand.New(rand.NewSource(seed))
 	k := NewKernel()
 	k.MaxEvents = 200_000
+	spawn := spawnFor(k, pin)
 	var trace []string
 	logf := func(format string, args ...any) {
 		trace = append(trace, fmt.Sprintf(format, args...))
@@ -626,61 +523,35 @@ func buildStepKillProgram(seed int64, steps bool) []string {
 	nProcs := 2 + rng.Intn(4)
 	procs := make([]*Proc, nProcs)
 	for i := 0; i < nProcs; i++ {
-		i := i
-		steps := steps
 		nOps := 2 + rng.Intn(6)
 		holds := make([]Time, nOps)
 		useSem := make([]bool, nOps)
+		child := make([]bool, nOps)
 		for j := range holds {
 			holds[j] = Time(rng.Intn(12))
 			useSem[j] = rng.Intn(2) == 0
+			child[j] = rng.Intn(3) == 0
 		}
-		name := fmt.Sprintf("p%d", i)
-		if !steps {
-			procs[i] = k.Spawn(name, func(p *Proc) {
-				defer func() { logf("p%d defer at %d killed=%v", i, p.Now(), p.Killed()) }()
-				for j := range holds {
-					if useSem[j] {
-						sem.Acquire(p)
-						p.Hold(holds[j])
-						sem.Release()
-					} else {
-						p.Hold(holds[j])
-					}
-					logf("p%d step %d at %d", i, j, p.Now())
-				}
-			})
-			continue
-		}
-		j := 0
-		logPending := false
-		var drive StepFunc
-		drive = func(p *Proc) StepFunc {
-			if logPending {
-				logPending = false
-				logf("p%d step %d at %d", i, j-1, p.Now())
-			}
-			for j < len(holds) {
-				cur := j
-				j++
-				if useSem[cur] {
-					sem.Acquire(p) // mid-activation park
-					p.Hold(holds[cur])
+		procs[i] = k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			defer func() { logf("p%d defer at %d killed=%v", i, p.Now(), p.Killed()) }()
+			for j := range holds {
+				if useSem[j] {
+					sem.Acquire(p)
+					p.Hold(holds[j])
 					sem.Release()
-					logf("p%d step %d at %d", i, cur, p.Now())
 				} else {
-					if !p.StepHold(holds[cur]) {
-						logPending = true
-						return drive
-					}
-					logf("p%d step %d at %d", i, cur, p.Now())
+					p.Hold(holds[j])
 				}
+				if child[j] {
+					p.Join(spawn(fmt.Sprintf("p%d/c", i), func(c *Proc) {
+						defer func() { logf("p%d child defer at %d", i, c.Now()) }()
+						c.Hold(holds[j] / 2)
+					}))
+				}
+				logf("p%d step %d at %d", i, j, p.Now())
 			}
-			return nil
-		}
-		procs[i] = k.SpawnStep(name, drive)
-		procs[i].Pin() // the kill closures below retain the handle
-		procs[i].Defer(func(p *Proc) { logf("p%d defer at %d killed=%v", i, p.Now(), p.Killed()) })
+		})
+		procs[i].Pin()
 	}
 	nKills := 1 + rng.Intn(3)
 	for j := 0; j < nKills; j++ {
@@ -697,43 +568,80 @@ func buildStepKillProgram(seed int64, steps bool) []string {
 	return trace
 }
 
-// killEquivReproSeed once distinguished the execution modes (ROADMAP
-// item 6): two procs deadlock on a semaphore held by a killed proc, and
-// the final teardown's defer order depended on which goroutine held the
-// baton when the empty queue was found — the detector unwound last, and
-// the baton lands differently after a kill in each mode (a killed
-// goroutine proc unwinds through a channel handoff; a killed
-// boundary-parked step proc retires inline in dispatch). Pinned since
-// teardown unwinds in spawn order regardless of the detector
-// (Kernel.finishTeardown).
+// killEquivReproSeed is a seed whose program ends in a deadlock after
+// a kill strands a semaphore permit, so the final teardown unwinds
+// several parked procs; it once exposed a teardown defer order that
+// depended on where control happened to be. Teardown now unwinds in
+// spawn order from the dispatch loop, and the seed stays pinned.
 const killEquivReproSeed int64 = -6100152632375425395
 
 func checkStepKillEquiv(seed int64) bool {
-	goro := buildStepKillProgram(seed, false)
-	step := buildStepKillProgram(seed, true)
-	if len(goro) != len(step) {
-		return false
-	}
-	for i := range goro {
-		if goro[i] != step[i] {
-			return false
-		}
-	}
-	return len(goro) > 0
+	pooled := buildChurnKillProgram(seed, false)
+	pinned := buildChurnKillProgram(seed, true)
+	return len(pooled) > 0 && strings.Join(pooled, "\n") == strings.Join(pinned, "\n")
 }
 
 // TestStepKillEquivalence: kills, unwinds and error teardowns are
-// observationally identical between the two execution modes — on the
-// pinned regression seed first, then 1000 randomized programs.
+// observationally identical with and without recycling — on the pinned
+// regression seed first, then 1000 randomized programs.
 func TestStepKillEquivalence(t *testing.T) {
 	if !checkStepKillEquiv(killEquivReproSeed) {
-		goro := buildStepKillProgram(killEquivReproSeed, false)
-		step := buildStepKillProgram(killEquivReproSeed, true)
-		t.Fatalf("pinned seed %d diverged\n--- goroutine ---\n%s\n--- step ---\n%s",
-			killEquivReproSeed, strings.Join(goro, "\n"), strings.Join(step, "\n"))
+		pooled := buildChurnKillProgram(killEquivReproSeed, false)
+		pinned := buildChurnKillProgram(killEquivReproSeed, true)
+		t.Fatalf("pinned seed %d diverged\n--- pooled ---\n%s\n--- pinned ---\n%s",
+			killEquivReproSeed, strings.Join(pooled, "\n"), strings.Join(pinned, "\n"))
 	}
 	f := func(seed int64) bool { return checkStepKillEquiv(seed) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStepChurnZeroAllocSteadyState covers spawn→exit churn: after
+// warm-up (free list primed, one worker pooled, joiner-queue and heap
+// capacity grown) a full spawn + bind + retire + recycle + join cycle
+// must be allocation-free. This is the property the Kernel_SpawnChurn
+// benchmark reports and CI gates on.
+func TestStepChurnZeroAllocSteadyState(t *testing.T) {
+	k := NewKernel()
+	var avg float64
+	k.Spawn("driver", func(p *Proc) {
+		churn := func() { p.Join(k.Spawn("churn", benchExit)) }
+		for i := 0; i < 64; i++ { // warm up free list, heap, worker pool
+			churn()
+		}
+		avg = testing.AllocsPerRun(500, churn)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Fatalf("spawn/exit churn allocates %.2f/run, want 0", avg)
+	}
+}
+
+// TestStepSpawnCycleZeroAllocSteadyState: the cycle Kernel_Spawn
+// measures — spawn a child that holds, then join it — is
+// allocation-free at steady state, whether the child's hold coalesces
+// or parks behind a timer.
+func TestStepSpawnCycleZeroAllocSteadyState(t *testing.T) {
+	k := NewKernel()
+	var avg float64
+	k.Spawn("driver", func(p *Proc) {
+		cycle := func() {
+			k.Schedule(1, nopFn) // competitor inside the window: the first child's hold parks
+			p.Join(k.Spawn("child", benchChild))
+			p.Join(k.Spawn("child", benchChild))
+		}
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		avg = testing.AllocsPerRun(500, cycle)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Fatalf("spawn cycle allocates %.2f/run, want 0", avg)
 	}
 }

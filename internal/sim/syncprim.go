@@ -60,32 +60,6 @@ func (b *Barrier) Await(p *Proc) bool {
 	return false
 }
 
-// StepAwait is Await for step activations: the tripping arrival
-// releases all waiters and continues inline (returning true, exactly
-// as Await's tripper never parks); any other arrival is enrolled at a
-// boundary and must return its continuation, which runs when the
-// barrier trips.
-func (b *Barrier) StepAwait(p *Proc) bool {
-	b.arrived++
-	if b.arrived == b.parties {
-		b.arrived = 0
-		b.gen++
-		// The last arriver's probe hook runs before the broadcast so
-		// that the release signals it emits already carry the whole
-		// generation's accumulated order.
-		if pr := b.k.probe; pr != nil {
-			pr.BarrierAwait(b, p, true)
-		}
-		b.q.Broadcast(b.k)
-		return true
-	}
-	if pr := b.k.probe; pr != nil {
-		pr.BarrierAwait(b, p, false)
-	}
-	b.q.Enroll(p)
-	return false
-}
-
 // Semaphore is a counting semaphore with FIFO wakeup.
 type Semaphore struct {
 	k       *Kernel

@@ -3,11 +3,6 @@ package sim
 // WaitQueue is a FIFO queue of parked processes. It is the building
 // block for condition-style blocking (mailboxes, barriers, memory-bank
 // queues, transaction retry lists). The zero value is ready to use.
-//
-// Goroutine procs block on a queue with Wait; step-proc activations
-// enroll with Enroll and return their continuation instead (see
-// step.go). Both are released by the same Signal/Broadcast, in the
-// same FIFO order.
 type WaitQueue struct {
 	waiters []*Proc
 }
@@ -20,20 +15,6 @@ func (q *WaitQueue) Wait(p *Proc) {
 	q.waiters = append(q.waiters, p)
 	p.waitq = q
 	p.park()
-}
-
-// Enroll parks a step proc on the queue at an activation boundary: p
-// is queued and marked waiting, but nothing blocks — the activation
-// must return its continuation, which runs when a Signal or Broadcast
-// releases p. Enrolling is the boundary-park analog of Wait and
-// occupies the same FIFO position a Wait at the same instant would.
-func (q *WaitQueue) Enroll(p *Proc) {
-	if p.killed || p.k.poisoned {
-		panic(errUnwind)
-	}
-	q.waiters = append(q.waiters, p)
-	p.waitq = q
-	p.state = stateWaiting
 }
 
 // Signal wakes the longest-waiting live process, if any, scheduling its
@@ -88,9 +69,9 @@ func (q *WaitQueue) Broadcast(k *Kernel) int {
 // by a signal (false on timeout). Same-tick races are deterministic:
 // whichever event — the releasing wake or the timeout callback — was
 // pushed first wins, by the kernel's (time, seq) FIFO order. The timer
-// closure allocates and captures p beyond this park (so a step proc's
-// record is pinned against reuse); timed waits are not part of the
-// zero-alloc hot path; untimed Wait is unchanged.
+// closure allocates and captures p beyond this park (so p's record is
+// pinned against reuse); timed waits are not part of the zero-alloc hot
+// path; untimed Wait is unchanged.
 func (q *WaitQueue) WaitTimeout(p *Proc, d Time) bool {
 	if d < 0 {
 		panic("sim: negative wait timeout")
